@@ -3,7 +3,7 @@
 //! different deep-cluster counts. Runs on the `hermes-testkit`
 //! wall-clock runner (`cargo bench --bench hierarchical_search`).
 
-use hermes_core::{ClusteredStore, HermesConfig, SearchOutcome};
+use hermes_core::{ClusteredStore, Engine, HermesConfig, QueryPlan, SearchOutcome};
 use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
 use hermes_index::{IvfIndex, SearchParams, VectorIndex};
 use hermes_pool::Pool;
@@ -41,18 +41,20 @@ fn main() {
             .with_clusters_to_search(m)
             .with_seed(19);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).expect("build");
+        let engine = Engine::for_store(&store);
         runner.bench(&format!("search/hermes_20k/deep_clusters/{m}"), || {
             for q in &qs {
-                std::hint::black_box(store.hierarchical_search(q).expect("search"));
+                std::hint::black_box(engine.execute(q).expect("search"));
             }
         });
     }
 
     let cfg = HermesConfig::new(10).with_clusters_to_search(3).with_seed(19);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).expect("build");
+    let exhaustive = Engine::new(&store, QueryPlan::exhaustive(&cfg));
     runner.bench("search/naive_all_clusters_20k", || {
         for q in &qs {
-            std::hint::black_box(store.search_all_clusters(q).expect("search"));
+            std::hint::black_box(exhaustive.execute(q).expect("search"));
         }
     });
 
@@ -64,17 +66,20 @@ fn main() {
     runner.bench(&format!("batch/spawn_per_batch/t{threads}"), || {
         std::hint::black_box(spawn_per_batch(&store, &qs, threads))
     });
+    let engine = Engine::for_store(&store);
+    let batch = |threads| {
+        let routes = engine.route_batch(&qs, threads).expect("route");
+        engine.execute_coalesced_routed(&qs, routes, threads).expect("search")
+    };
     runner.bench(&format!("batch/pooled/t{threads}"), || {
-        std::hint::black_box(store.batch_hierarchical_search(&qs, 0).expect("search"))
+        std::hint::black_box(batch(0))
     });
-    runner.bench("batch/sequential", || {
-        std::hint::black_box(store.batch_hierarchical_search(&qs, 1).expect("search"))
-    });
+    runner.bench("batch/sequential", || std::hint::black_box(batch(1)));
 
     runner.finish();
 }
 
-/// The pre-pool `batch_hierarchical_search`: spawn `threads` scoped OS
+/// The pre-pool batch search: spawn `threads` scoped OS
 /// threads per call, each owning a static contiguous chunk. Kept here as
 /// the bench baseline the pooled path is measured against.
 fn spawn_per_batch(store: &ClusteredStore, qs: &[Vec<f32>], threads: usize) -> Vec<SearchOutcome> {
@@ -85,8 +90,9 @@ fn spawn_per_batch(store: &ClusteredStore, qs: &[Vec<f32>], threads: usize) -> V
             .chunks(chunk)
             .map(|c| {
                 scope.spawn(move || {
+                    let engine = Engine::for_store(store);
                     c.iter()
-                        .map(|q| store.hierarchical_search(q).expect("search"))
+                        .map(|q| engine.execute(q).expect("search"))
                         .collect::<Vec<_>>()
                 })
             })

@@ -3,7 +3,7 @@
 //! Includes the seed-sweep ablation DESIGN.md calls out.
 
 use hermes_bench::{emit, standard_config, BENCH_SEED};
-use hermes_core::{ClusteredStore, SplitStrategy};
+use hermes_core::{ClusteredStore, Engine, SplitStrategy};
 use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
 use hermes_metrics::{Row, Table};
 
@@ -22,12 +22,8 @@ fn main() {
     let cfg = standard_config();
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).expect("build store");
 
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
-    let accesses = store.access_histogram(&qs, 0).expect("trace");
+    let qs: Vec<&[f32]> = queries.embeddings().iter_rows().collect();
+    let accesses = Engine::for_store(&store).access_histogram(&qs, 0).expect("trace");
 
     let mut table = Table::new(
         "Figure 13 — cluster size (docs) and deep-search access frequency",

@@ -3,7 +3,7 @@
 //! Access frequencies come from a *measured* trace on a real store.
 
 use hermes_bench::{emit, standard_config, BENCH_SEED};
-use hermes_core::ClusteredStore;
+use hermes_core::{ClusteredStore, Engine};
 use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
 use hermes_metrics::{Row, Table};
 use hermes_sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
@@ -17,12 +17,8 @@ fn measured_trace() -> Vec<usize> {
             .with_interest_skew(1.0),
     );
     let store = ClusteredStore::build(corpus.embeddings(), &standard_config()).expect("store");
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
-    store.access_histogram(&qs, 0).expect("trace")
+    let qs: Vec<&[f32]> = queries.embeddings().iter_rows().collect();
+    Engine::for_store(&store).access_histogram(&qs, 0).expect("trace")
 }
 
 fn main() {

@@ -1,60 +1,65 @@
 //! The staged scatter–gather query-execution engine.
 //!
-//! Every search path in the workspace — [`ClusteredStore::route`],
-//! [`ClusteredStore::hierarchical_search`] and its batch variant,
-//! [`ClusteredStore::search_all_clusters`],
-//! [`ClusteredStore::access_histogram`], and the `hermes-rag` baseline
-//! retrievers — is a thin wrapper over one [`Engine`] executing one
-//! [`QueryPlan`]. The engine runs the paper's sample → rank → deep →
-//! rerank pipeline (Section 4.2) as three explicit stages:
+//! Every search in the workspace — single queries, serving batches, the
+//! cache layer's misses, the access-frequency traces of Figures 13/18
+//! and the `hermes-rag` retrievers — runs through one [`Engine`]
+//! executing one [`QueryPlan`], and through **one** scatter/gather body:
+//! [`Engine::execute_coalesced_routed`]. [`Engine::execute`] is
+//! [`Engine::route`] followed by that body on a batch of one. The engine
+//! runs the paper's sample → rank → deep → rerank pipeline (Section 4.2)
+//! as three explicit stages:
 //!
 //! ```text
 //!            ┌─────────────────────────────────────────────────┐
-//!   query ──▶│ ROUTE    sample every shard (or score its       │
-//!            │          centroid), rank best-first             │
+//!   batch ──▶│ ROUTE    sample every shard (or score its       │
+//!            │          centroid), rank best-first per query   │
 //!            ├─────────────────────────────────────────────────┤
-//!            │ SCATTER  deep-search the top-m shards; the m    │
-//!            │          tasks fan out on hermes_pool::Pool     │
-//!            │          (intra-query parallelism)              │
+//!            │ SCATTER  group the batch's top-m picks by       │
+//!            │          cluster: one pool task per distinct    │
+//!            │          shard deep-searches it for every query │
+//!            │          that routed there                      │
 //!            ├─────────────────────────────────────────────────┤
-//!            │ GATHER   merge_topk over per-shard hits in      │
-//!            │          deterministic input order; fold the    │
+//!            │ GATHER   merge_topk over each query's per-shard │
+//!            │          hits in its own rank order; fold the   │
 //!            │          per-stage ScanStats into SearchStats   │
 //!            └─────────────────────────────────────────────────┘
 //! ```
 //!
-//! Two levels of parallelism compose:
+//! The route seam is explicit: callers route a batch with
+//! [`Engine::route_batch`], may inspect the routes (the semantic cache
+//! buckets lookups by top cluster), then hand them to
+//! [`Engine::execute_coalesced_routed`], so the route stage is never paid
+//! twice. Queries are borrowed as any `AsRef<[f32]>` row — owned
+//! `Vec<f32>`s or slices — never copied.
 //!
-//! * **Inter-query** — batch entry points steal whole queries from the
-//!   shared pool cursor (`threads` caps the width; `0` = full pool,
-//!   `1` = inline sequential).
-//! * **Intra-query** — within one query, the route stage's per-shard
-//!   samples and the scatter stage's m deep searches fan out on the same
-//!   pool ([`QueryPlan::scatter_threads`]). Inside a batch the pool's
-//!   nested-submission rule makes these inner fan-outs run inline on the
-//!   worker, so batches keep exactly one level of stealing; a single
-//!   interactive query gets the full pool to itself — the single-request
-//!   latency the paper's serving story needs.
+//! Parallelism: `threads` caps the batch-level fan-out (route: one task
+//! per query; scatter: one task per distinct cluster; `0` = full pool,
+//! `1` = inline sequential). The route stage's per-shard samples fan out
+//! with [`QueryPlan::scatter_threads`]; inside a pool worker the pool's
+//! nested-submission rule runs them inline, so batches keep exactly one
+//! level of stealing while a single interactive query gets the full pool
+//! to itself.
 //!
-//! Results are **bit-identical** to the sequential pre-engine loops for
-//! every routing mode, codec and thread count: tasks write results into
-//! their input-order slot, costs are integer sums over the same scans,
-//! and the first error in input order is the one reported
+//! Results are **bit-identical** for every routing mode, codec, batch
+//! composition and thread count: tasks write results into their
+//! input-order slot, every `(query, cluster)` deep search runs the same
+//! deterministic scan, costs are integer sums over the same scans, and
+//! the first error in input order is the one reported
 //! (`tests/engine_equivalence.rs` pins all of this property-style).
 //!
-//! Work accounting is recorded *as the stages run*: shard searches
-//! return [`hermes_index::ScanStats`] from the scan itself, so nothing
-//! re-walks a coarse quantizer after the fact (the old `probe_cost`
-//! double scan).
+//! An emptied shard is not an error: its sample scores −∞ (it ranks
+//! last) and a deep search of it returns no hits and scans nothing.
 //!
 //! When runtime telemetry is on (`hermes_trace::enable`), each stage
-//! additionally records a span — `engine.execute` ▸ `engine.route` /
-//! `engine.scatter` / `engine.gather`, plus per-shard `shard.sample` and
-//! `shard.deep` spans on whichever pool worker stole the shard — whose
-//! args carry the same scanned-code counts as [`SearchStats`]. Disabled,
-//! every site is a single relaxed atomic load.
+//! records a span — `engine.execute` (single queries) ▸ `engine.route` /
+//! `engine.coalesced` ▸ `engine.gather`, plus per-shard `shard.sample`
+//! and `shard.deep` spans on whichever pool worker stole the shard —
+//! whose args carry the same scanned-code counts as [`SearchStats`].
+//! Disabled, every site is a single relaxed atomic load.
 
-use hermes_index::{ScanStats, SearchParams, VectorIndex};
+use std::collections::BTreeMap;
+
+use hermes_index::{IndexError, ScanStats, SearchParams, VectorIndex};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
@@ -63,6 +68,7 @@ use crate::config::{HermesConfig, Routing};
 use crate::search::{SearchOutcome, SearchPhaseCost};
 use crate::store::ClusteredStore;
 use crate::HermesError;
+
 
 /// Per-stage work record of one executed query, filled in by the engine
 /// while the stages run.
@@ -129,8 +135,8 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The plan [`ClusteredStore::hierarchical_search`] executes: the
-    /// config's routing and knobs, full-pool intra-query scatter.
+    /// The store's default plan: the config's routing and knobs,
+    /// full-pool intra-query scatter.
     pub fn from_config(cfg: &HermesConfig) -> Self {
         QueryPlan {
             routing: cfg.routing,
@@ -144,9 +150,8 @@ impl QueryPlan {
         }
     }
 
-    /// The plan [`ClusteredStore::search_all_clusters`] executes: no
-    /// routing, every cluster deep-searched in index order — the naive
-    /// distributed baseline (Figure 18).
+    /// No routing, every cluster deep-searched in index order — the
+    /// naive distributed baseline Hermes is compared against (Figure 18).
     pub fn exhaustive(cfg: &HermesConfig) -> Self {
         QueryPlan {
             routing: Routing::Unranked,
@@ -238,6 +243,12 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 /// assert_eq!(out.hits.len(), cfg.k);
 /// assert_eq!(out.searched_clusters.len(), 2);
 /// assert_eq!(out.stats.per_shard_scanned.len(), 2);
+///
+/// // A batch: route it once, then one coalesced scatter/gather.
+/// let batch: [&[f32]; 2] = [&[10.0, 0.5], &[0.0, 1.0]];
+/// let routes = engine.route_batch(&batch, 0)?;
+/// let outs = engine.execute_coalesced_routed(&batch, routes, 0)?;
+/// assert_eq!(outs[0], out);
 /// # Ok::<(), hermes_core::HermesError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -252,8 +263,7 @@ impl<'s> Engine<'s> {
         Engine { store, plan }
     }
 
-    /// The engine running the store's configured plan — what every
-    /// `ClusteredStore` convenience method constructs.
+    /// The engine running the store's configured plan.
     pub fn for_store(store: &'s ClusteredStore) -> Self {
         Engine::new(store, QueryPlan::from_config(store.config()))
     }
@@ -283,14 +293,14 @@ impl<'s> Engine<'s> {
         let n = store.num_clusters();
         match self.plan.routing {
             Routing::DocumentSampling => {
-                let params = SearchParams::new().with_nprobe(self.plan.sample_nprobe);
                 // One cheap k=1 sample per shard, fanned out like the
                 // scatter stage (samples dominate single-query latency
-                // when m is small).
+                // when m is small). An empty shard samples no hit and
+                // scores −∞.
                 let clusters: Vec<usize> = (0..n).collect();
-                let samples = self.fan_out(&clusters, |c| {
+                let samples = map_capped(&clusters, self.plan.scatter_threads, |&c| {
                     let mut sp = hermes_trace::span_with(names::SHARD_SAMPLE, &[("cluster", c as u64)]);
-                    let (hits, stats) = store.shard(c).search_with_stats(query, 1, &params)?;
+                    let (hits, stats) = self.search_shard(c, query, 1, self.plan.sample_nprobe)?;
                     sp.arg("scanned_codes", stats.scanned_codes as u64);
                     Ok((hits.first().map_or(f32::NEG_INFINITY, |h| h.score), stats))
                 })?;
@@ -310,6 +320,14 @@ impl<'s> Engine<'s> {
                 })
             }
             Routing::CentroidOnly => {
+                let expected = store.split_centroids_mat().cols();
+                if query.len() != expected {
+                    return Err(IndexError::DimensionMismatch {
+                        expected,
+                        got: query.len(),
+                    }
+                    .into());
+                }
                 let metric = store.config().metric;
                 let scored: Vec<(usize, f32)> = (0..n)
                     .map(|c| (c, metric.similarity(query, store.split_centroid(c))))
@@ -333,58 +351,49 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// **Stage 3 (scatter):** deep-searches `shards` concurrently on the
-    /// shared pool, returning per-shard hits + scan stats in input order.
-    /// Records an `engine.scatter` span (args: `shards`, `scanned_codes`)
-    /// plus one `shard.deep` span per deep search — the latter land on the
-    /// worker thread that stole the shard, so a Perfetto view shows the
-    /// scatter fan-out shape directly.
-    fn scatter(
+    /// The one shard-search call of both stages. A shard with no live
+    /// rows answers with no hits and zero scanned codes rather than
+    /// [`IndexError::Empty`], so emptying one cluster cannot fail every
+    /// query; dimension errors still propagate.
+    fn search_shard(
         &self,
+        cluster: usize,
         query: &[f32],
-        shards: &[usize],
-        deep_nprobe: usize,
-    ) -> Result<Vec<(Vec<Neighbor>, ScanStats)>, HermesError> {
-        let params = SearchParams::new().with_nprobe(deep_nprobe);
-        let k = self.plan.k;
-        let mut sp = hermes_trace::span_with(names::ENGINE_SCATTER, &[("shards", shards.len() as u64)]);
-        let per_shard = self.fan_out(shards, |c| {
-            let mut sp = hermes_trace::span_with(names::SHARD_DEEP, &[("cluster", c as u64)]);
-            let (hits, stats) = self.store.shard(c).search_with_stats(query, k, &params)?;
-            sp.arg("scanned_codes", stats.scanned_codes as u64);
-            Ok((hits, stats))
-        })?;
-        sp.arg(
-            "scanned_codes",
-            per_shard.iter().map(|(_, s)| s.scanned_codes as u64).sum(),
-        );
-        Ok(per_shard)
-    }
-
-    /// Runs `f` over shard ids with the plan's intra-query fan-out cap.
-    /// Inside a pool worker (i.e. within a batch) this runs inline, so
-    /// nested scatter never re-enters the pool.
-    fn fan_out<U, F>(&self, shards: &[usize], f: F) -> Result<Vec<U>, HermesError>
-    where
-        U: Send,
-        F: Fn(usize) -> Result<U, HermesError> + Sync,
-    {
-        if self.plan.scatter_threads == 1 || shards.len() <= 1 {
-            return shards.iter().map(|&c| f(c)).collect();
+        k: usize,
+        nprobe: usize,
+    ) -> Result<(Vec<Neighbor>, ScanStats), HermesError> {
+        let params = SearchParams::new().with_nprobe(nprobe);
+        match self.store.shard(cluster).search_with_stats(query, k, &params) {
+            Err(IndexError::Empty) => Ok((Vec::new(), ScanStats::default())),
+            r => r.map_err(HermesError::from),
         }
-        let cap = match self.plan.scatter_threads {
-            0 => usize::MAX,
-            t => t,
-        };
-        hermes_pool::Pool::global().try_parallel_map_capped(shards, cap, |&c| f(c))
     }
 
-    /// Executes the full pipeline for one query.
+    /// **Stage 1+2 for a whole batch:** routes every query, stealing
+    /// queries from the shared pool cursor. `threads` caps the fan-out
+    /// (`0` = full pool, `1` = inline sequential). The serving layer
+    /// uses the routes to probe its cache and discover cluster overlap
+    /// before committing to a scatter.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first per-query route error in input order.
+    pub fn route_batch<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        threads: usize,
+    ) -> Result<Vec<RouteOutcome>, HermesError> {
+        map_capped(queries, threads, |q| self.route(q.as_ref()))
+    }
+
+    /// Executes the full pipeline for one query: [`Engine::route`], then
+    /// [`Engine::execute_coalesced_routed`] on a batch of one with the
+    /// plan's [`QueryPlan::scatter_threads`] as the fan-out cap.
     ///
     /// When telemetry is enabled, the call nests `engine.execute` ▸
-    /// `engine.route` / `engine.scatter` / `engine.gather` spans, with
-    /// the outer span's end event carrying the `route_scanned` /
-    /// `deep_scanned` work totals from [`SearchStats`].
+    /// `engine.route` / `engine.coalesced` spans, with the outer span's
+    /// end event carrying the `route_scanned` / `deep_scanned` /
+    /// `deep_nprobe` totals from [`SearchStats`].
     ///
     /// # Errors
     ///
@@ -396,49 +405,14 @@ impl<'s> Engine<'s> {
             query_span.arg(names::ARG_REQUEST_ID, rid);
         }
         let route = self.route(query)?;
-        let outcome = self.scatter_gather(query, route)?;
+        let outcome = self
+            .execute_coalesced_routed(&[query], vec![route], self.plan.scatter_threads)?
+            .pop()
+            .expect("one outcome per query");
         query_span.arg("route_scanned", outcome.stats.route.scanned_codes as u64);
         query_span.arg("deep_scanned", outcome.stats.deep.scanned_codes as u64);
         query_span.arg("deep_nprobe", outcome.stats.deep_nprobe as u64);
         Ok(outcome)
-    }
-
-    /// Executes the scatter + gather stages for a query that was already
-    /// routed — the cache layer's entry point, which routes misses once
-    /// (to bucket the semantic lookup) and must not pay the route stage
-    /// twice. `execute(q)` ≡ `execute_routed(q, route(q)?)` bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard error in the query's rank order.
-    pub fn execute_routed(
-        &self,
-        query: &[f32],
-        route: RouteOutcome,
-    ) -> Result<SearchOutcome, HermesError> {
-        let mut query_span = hermes_trace::span(names::ENGINE_EXECUTE);
-        if let Some(rid) = self.plan.request_id {
-            query_span.arg(names::ARG_REQUEST_ID, rid);
-        }
-        let outcome = self.scatter_gather(query, route)?;
-        query_span.arg("route_scanned", outcome.stats.route.scanned_codes as u64);
-        query_span.arg("deep_scanned", outcome.stats.deep.scanned_codes as u64);
-        query_span.arg("deep_nprobe", outcome.stats.deep_nprobe as u64);
-        Ok(outcome)
-    }
-
-    /// The scatter + gather tail shared by [`Engine::execute`] and
-    /// [`Engine::execute_routed`], resolving the per-query depth first.
-    fn scatter_gather(
-        &self,
-        query: &[f32],
-        route: RouteOutcome,
-    ) -> Result<SearchOutcome, HermesError> {
-        let (m_limit, deep_nprobe) = self.depth_for(&route);
-        let m = m_limit.min(route.ranked_clusters.len());
-        let searched: Vec<usize> = route.ranked_clusters[..m].to_vec();
-        let per_shard = self.scatter(query, &searched, deep_nprobe)?;
-        Ok(self.gather(route, searched, per_shard, deep_nprobe))
     }
 
     /// Resolves the per-query depth: the [`DifficultyEstimator`]'s choice
@@ -455,105 +429,36 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Executes the pipeline for a whole batch, stealing queries from the
-    /// shared pool cursor. `threads` caps the inter-query fan-out (`0` =
-    /// full pool, `1` = inline sequential). Each stolen query's own
-    /// scatter runs inline on its worker, so the two parallelism levels
-    /// compose without oversubscription.
+    /// **Stages 3+4 (scatter, gather)** for a batch of already-routed
+    /// queries — the engine's only scatter/gather. The deep searches are
+    /// **coalesced by cluster**: each distinct cluster any query's top-m
+    /// selected is one pool task that serves all the queries routed to
+    /// it, so at most `distinct clusters` tasks touch each shard exactly
+    /// once. Queries with overlapping routing share a shard visit
+    /// (locality); disjoint queries still fan out across shards.
+    /// `threads` caps that fan-out (`0` = full pool, `1` = inline
+    /// sequential).
     ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order.
-    pub fn execute_batch(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| self.execute(q)).collect();
-        }
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, |q| self.execute(q))
-    }
-
-    /// **Stage 1+2 for a whole batch:** routes every query, stealing
-    /// queries from the shared pool cursor like [`Engine::execute_batch`].
-    /// `threads` caps the inter-query fan-out (`0` = full pool, `1` =
-    /// inline sequential). The serving layer's batch former uses this to
-    /// discover cluster overlap before committing to a scatter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query route error in input order.
-    pub fn route_batch(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<RouteOutcome>, HermesError> {
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| self.route(q)).collect();
-        }
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, |q| self.route(q))
-    }
-
-    /// Executes the pipeline for a whole batch with the scatter stage
-    /// **coalesced by cluster**: after routing every query, the deep
-    /// searches are grouped so each distinct cluster is one pool task
-    /// that serves all the queries whose top-m routing selected it —
-    /// instead of `queries × m` independent tasks, at most
-    /// `distinct clusters` tasks touch each shard exactly once. This is
-    /// the serving layer's dynamic-batch execution: queries with
-    /// overlapping routing share a shard visit (locality), disjoint
-    /// queries still fan out across shards.
-    ///
-    /// Results are bit-identical to [`Engine::execute_batch`]: each
+    /// Routes must be positionally aligned with `queries` (typically
+    /// [`Engine::route_batch`] of the same batch). Each query's outcome
+    /// is bit-identical to [`Engine::execute`] of it alone: every
     /// `(query, cluster)` deep search runs the same deterministic scan,
-    /// per-query gather merges per-shard hits in the query's own rank
-    /// order, and stats fold the same integers. Only the task grouping —
-    /// invisible to results — differs.
+    /// each query's gather merges its per-shard hits in its own rank
+    /// order, and stats fold the same integers. Records an
+    /// `engine.coalesced` span (args: `queries`, `distinct_clusters`,
+    /// `deep_searches`) with one `shard.deep` span per distinct cluster.
     ///
     /// # Errors
     ///
-    /// Propagates the first per-query error in input order; within one
-    /// query, route errors precede scatter errors and scatter errors
-    /// surface in the query's rank order — the same rule as
-    /// [`Engine::execute_batch`].
-    pub fn execute_coalesced(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        let cap = if threads == 0 { usize::MAX } else { threads };
-
-        // Route every query; keep per-query errors for input-order
-        // propagation after the scatter phase resolves.
-        let route_one = |q: &Vec<f32>| -> Result<Result<RouteOutcome, HermesError>, HermesError> {
-            Ok(self.route(q))
-        };
-        let routes: Vec<Result<RouteOutcome, HermesError>> = if cap == 1 || queries.len() <= 1 {
-            queries.iter().map(route_one).collect::<Result<_, _>>()?
-        } else {
-            hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, route_one)?
-        };
-        self.coalesced_from_routes(queries, routes, cap)
-    }
-
-    /// [`Engine::execute_coalesced`] for queries that were already routed
-    /// — the cache layer's batch entry point (it routes misses once to
-    /// bucket semantic lookups, then scatters only the true misses).
-    /// Routes must be positionally aligned with `queries`;
-    /// `execute_coalesced(qs, t)` ≡
-    /// `execute_coalesced_routed(qs, route_batch(qs, t)?, t)` bit for bit.
+    /// Propagates the first per-query scatter error in input order (rank
+    /// order within a query).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates the first per-query scatter error in input order
-    /// (rank order within a query), exactly like
-    /// [`Engine::execute_coalesced`].
-    pub fn execute_coalesced_routed(
+    /// Panics if `routes.len() != queries.len()`.
+    pub fn execute_coalesced_routed<Q: AsRef<[f32]> + Sync>(
         &self,
-        queries: &[Vec<f32>],
+        queries: &[Q],
         routes: Vec<RouteOutcome>,
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
@@ -562,45 +467,24 @@ impl<'s> Engine<'s> {
             routes.len(),
             "one route per query, positionally aligned"
         );
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        self.coalesced_from_routes(queries, routes.into_iter().map(Ok).collect(), cap)
-    }
-
-    /// Shared scatter/gather tail of the two coalesced entry points.
-    fn coalesced_from_routes(
-        &self,
-        queries: &[Vec<f32>],
-        routes: Vec<Result<RouteOutcome, HermesError>>,
-        cap: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
         let mut batch_span =
             hermes_trace::span_with(names::ENGINE_COALESCED, &[("queries", queries.len() as u64)]);
         // Per-query depth (m, deep nProbe): fixed knobs or the adaptive
         // policy's per-route choice — resolved once, then honored by both
         // the group scatter and the per-query gather below.
-        let depths: Vec<(usize, usize)> = routes
-            .iter()
-            .map(|r| match r {
-                Ok(route) => self.depth_for(route),
-                Err(_) => (0, 0),
-            })
-            .collect();
+        let depths: Vec<(usize, usize)> = routes.iter().map(|r| self.depth_for(r)).collect();
         let searched: Vec<Vec<usize>> = routes
             .iter()
             .zip(&depths)
-            .map(|(r, &(m_limit, _))| match r {
-                Ok(route) => {
-                    let m = m_limit.min(route.ranked_clusters.len());
-                    route.ranked_clusters[..m].to_vec()
-                }
-                Err(_) => Vec::new(),
+            .map(|(route, &(m_limit, _))| {
+                let m = m_limit.min(route.ranked_clusters.len());
+                route.ranked_clusters[..m].to_vec()
             })
             .collect();
 
         // Invert query → clusters into cluster → queries (ascending
         // cluster id, queries in input order within a cluster).
-        let mut cluster_queries: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
+        let mut cluster_queries: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (qi, clusters) in searched.iter().enumerate() {
             for &c in clusters {
                 cluster_queries.entry(c).or_default().push(qi);
@@ -615,32 +499,21 @@ impl<'s> Engine<'s> {
         // order, not the cluster order, decides which error wins.
         type DeepResult = Result<(Vec<Neighbor>, ScanStats), HermesError>;
         let k = self.plan.k;
-        let run_group = |&(c, ref qis): &(usize, Vec<usize>)| -> Result<Vec<DeepResult>, HermesError> {
-            let mut sp = hermes_trace::span_with(names::SHARD_DEEP, &[("cluster", c as u64)]);
-            let mut scanned = 0u64;
-            let results = qis
-                .iter()
-                .map(|&qi| {
-                    let params = SearchParams::new().with_nprobe(depths[qi].1);
-                    let r = self.store.shard(c).search_with_stats(&queries[qi], k, &params);
-                    if let Ok((_, stats)) = &r {
-                        scanned += stats.scanned_codes as u64;
-                    }
-                    r.map_err(HermesError::from)
-                })
-                .collect();
-            sp.arg("queries", qis.len() as u64);
-            sp.arg("scanned_codes", scanned);
-            Ok(results)
-        };
-        let per_group: Vec<Vec<DeepResult>> = if cap == 1 || groups.len() <= 1 {
-            groups.iter().map(run_group).collect::<Result<_, _>>()?
-        } else {
-            hermes_pool::Pool::global().try_parallel_map_capped(&groups, cap, run_group)?
-        };
+        let per_group: Vec<Vec<DeepResult>> =
+            map_capped(&groups, threads, |(c, qis)| -> Result<_, HermesError> {
+                let mut sp = hermes_trace::span_with(names::SHARD_DEEP, &[("cluster", *c as u64)]);
+                let results: Vec<DeepResult> = qis
+                    .iter()
+                    .map(|&qi| self.search_shard(*c, queries[qi].as_ref(), k, depths[qi].1))
+                    .collect();
+                let scanned = results.iter().flatten().map(|(_, s)| s.scanned_codes as u64);
+                sp.arg("queries", qis.len() as u64);
+                sp.arg("scanned_codes", scanned.sum());
+                Ok(results)
+            })?;
 
         // Re-slot each deep result into its query's rank-order position,
-        // so gather sees exactly the per-shard sequence `execute` builds.
+        // so gather sees the per-shard sequence in the query's own order.
         let mut slots: Vec<Vec<Option<DeepResult>>> = searched
             .iter()
             .map(|clusters| clusters.iter().map(|_| None).collect())
@@ -655,18 +528,15 @@ impl<'s> Engine<'s> {
             }
         }
 
-        // Assemble outcomes in input order; the first failing query wins,
-        // and within a query route errors precede rank-order scatter
-        // errors — matching execute_batch exactly.
+        // Assemble outcomes in input order; the first failing query wins.
         let mut outcomes = Vec::with_capacity(queries.len());
         for (((route, query_searched), query_slots), (_, deep_nprobe)) in
             routes.into_iter().zip(searched).zip(slots).zip(depths)
         {
-            let route = route?;
-            let mut per_shard = Vec::with_capacity(query_slots.len());
-            for slot in query_slots {
-                per_shard.push(slot.expect("every searched cluster was scattered")?);
-            }
+            let per_shard = query_slots
+                .into_iter()
+                .map(|slot| slot.expect("every searched cluster was scattered"))
+                .collect::<Result<Vec<_>, _>>()?;
             outcomes.push(self.gather(route, query_searched, per_shard, deep_nprobe));
         }
         batch_span.arg(
@@ -679,10 +549,8 @@ impl<'s> Engine<'s> {
         Ok(outcomes)
     }
 
-    /// **Stage 4 (gather):** merges per-shard hits (already in the
-    /// query's rank order) into the final top-k and folds the stats —
-    /// shared by [`Engine::execute`] and [`Engine::execute_coalesced`] so
-    /// the two paths cannot drift.
+    /// **Stage 4 (gather):** merges one query's per-shard hits (already in
+    /// its rank order) into the final top-k and folds the stats.
     fn gather(
         &self,
         route: RouteOutcome,
@@ -691,11 +559,11 @@ impl<'s> Engine<'s> {
         deep_nprobe: usize,
     ) -> SearchOutcome {
         let mut gather_span = hermes_trace::span(names::ENGINE_GATHER);
-        let per_cluster_hits: Vec<Vec<Neighbor>> =
-            per_shard.iter().map(|(hits, _)| hits.clone()).collect();
+        let (per_cluster_hits, per_shard_scanned): (Vec<Vec<Neighbor>>, Vec<usize>) = per_shard
+            .into_iter()
+            .map(|(hits, s)| (hits, s.scanned_codes))
+            .unzip();
         let hits = merge_topk(&per_cluster_hits, self.plan.k);
-        let per_shard_scanned: Vec<usize> =
-            per_shard.iter().map(|(_, s)| s.scanned_codes).collect();
         let stats = SearchStats {
             route: route.cost,
             deep: SearchPhaseCost {
@@ -716,20 +584,22 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Executes the batch and folds each query's deep-searched clusters
-    /// into a per-cluster access count — the trace of Figures 13/18 and
-    /// the DVFS study's input. Accumulation is sequential in input order,
-    /// so counts are deterministic for any `threads`.
+    /// Routes and executes the batch, then folds each query's
+    /// deep-searched clusters into a per-cluster access count — the trace
+    /// of Figures 13/18 and the DVFS study's input. `threads` caps the
+    /// fan-out as in [`Engine::route_batch`]; accumulation is sequential
+    /// in input order, so counts are deterministic for any `threads`.
     ///
     /// # Errors
     ///
     /// Propagates the first per-query error in input order.
-    pub fn access_histogram(
+    pub fn access_histogram<Q: AsRef<[f32]> + Sync>(
         &self,
-        queries: &[Vec<f32>],
+        queries: &[Q],
         threads: usize,
     ) -> Result<Vec<usize>, HermesError> {
-        let outcomes = self.execute_batch(queries, threads)?;
+        let routes = self.route_batch(queries, threads)?;
+        let outcomes = self.execute_coalesced_routed(queries, routes, threads)?;
         let mut counts = vec![0usize; self.store.num_clusters()];
         for out in outcomes {
             for c in out.searched_clusters {
@@ -740,15 +610,51 @@ impl<'s> Engine<'s> {
     }
 }
 
+/// Maps `f` over `items` with at most `threads` pool threads (`0` = full
+/// pool, `1` = inline sequential), returning the first error in input
+/// order. Inside a pool worker the pool runs nested maps inline, so a
+/// batch's per-query fan-outs never re-enter the pool.
+fn map_capped<T, U, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, HermesError>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> Result<U, HermesError> + Sync,
+{
+    if threads == 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cap = if threads == 0 { usize::MAX } else { threads };
+    hermes_pool::Pool::global().try_parallel_map_capped(items, cap, f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
+    use hermes_testkit::prelude::*;
 
     fn setup() -> (Corpus, QuerySet) {
         let corpus = Corpus::generate(CorpusSpec::new(900, 16, 6).with_seed(41));
         let queries = QuerySet::generate(&corpus, QuerySpec::new(12).with_seed(42));
         (corpus, queries)
+    }
+
+    /// The batch path every caller uses: route the batch, then run the
+    /// coalesced scatter/gather on those routes.
+    fn run_batch<Q: AsRef<[f32]> + Sync>(
+        engine: &Engine,
+        batch: &[Q],
+        threads: usize,
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        engine.execute_coalesced_routed(batch, engine.route_batch(batch, threads)?, threads)
+    }
+
+    /// Per-query [`Engine::execute`], stopping at the first error.
+    fn per_query<Q: AsRef<[f32]>>(
+        engine: &Engine,
+        batch: &[Q],
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        batch.iter().map(|q| engine.execute(q.as_ref())).collect()
     }
 
     #[test]
@@ -816,32 +722,69 @@ mod tests {
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let engine = Engine::for_store(&store);
         let batch = queries.to_vecs();
-        let reference = engine.execute_batch(&batch, 1).unwrap();
+        let reference = per_query(&engine, &batch).unwrap();
         for threads in [0usize, 1, 2, 64] {
-            let coalesced = engine.execute_coalesced(&batch, threads).unwrap();
+            let coalesced = run_batch(&engine, &batch, threads).unwrap();
             assert_eq!(coalesced, reference, "threads={threads}");
         }
     }
 
+    /// Property: for random batches of 0–9 queries (repeats included, so
+    /// shard visits are shared), every routing mode, adaptive depth on and
+    /// off, every width and both owned and borrowed rows, the coalesced
+    /// batch equals per-query `execute`, and a batch carrying one
+    /// wrong-dimension query reports the first error in input order.
     #[test]
     fn coalesced_matches_for_every_routing_mode() {
         let (corpus, queries) = setup();
-        let batch = queries.to_vecs();
+        let pool = queries.to_vecs();
+        let mut engines_stores = Vec::new();
         for routing in [
             Routing::DocumentSampling,
             Routing::CentroidOnly,
             Routing::Unranked,
         ] {
-            let cfg = HermesConfig::new(6)
-                .with_seed(1)
-                .with_clusters_to_search(3)
-                .with_routing(routing);
-            let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-            let engine = Engine::for_store(&store);
-            let reference = engine.execute_batch(&batch, 1).unwrap();
-            let coalesced = engine.execute_coalesced(&batch, 0).unwrap();
-            assert_eq!(coalesced, reference, "routing={routing:?}");
+            for adaptive in [None, Some(AdaptiveConfig::new(1, 5, 8, 128))] {
+                let mut cfg = HermesConfig::new(6)
+                    .with_seed(1)
+                    .with_clusters_to_search(3)
+                    .with_routing(routing);
+                cfg.adaptive = adaptive;
+                let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+                let label = format!("{routing:?}/adaptive={}", adaptive.is_some());
+                engines_stores.push((label, store));
+            }
         }
+        let strat = tuple3(
+            vec_of(usize_in(0..pool.len()), 0..10),
+            usize_in(0..4),
+            usize_in(0..10),
+        );
+        let cfg = Config::from_env().with_cases(12);
+        check_with("coalesced_matches_for_every_routing_mode", &cfg, &strat, |(picks, t, bad_at)| {
+            let threads = [0usize, 1, 2, 16][*t];
+            let owned: Vec<Vec<f32>> = picks.iter().map(|&i| pool[i].clone()).collect();
+            let borrowed: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+            let mut with_bad = owned.clone();
+            with_bad.insert((*bad_at).min(owned.len()), vec![1.0; 3]);
+            for (label, store) in &engines_stores {
+                let engine = Engine::for_store(store);
+                let reference = per_query(&engine, &owned).unwrap();
+                let ctx = format!("{label} threads={threads}");
+                prop_assert!(
+                    run_batch(&engine, &owned, threads).as_ref() == Ok(&reference),
+                    "owned rows diverge at {ctx}"
+                );
+                prop_assert!(
+                    run_batch(&engine, &borrowed, threads).as_ref() == Ok(&reference),
+                    "borrowed rows diverge at {ctx}"
+                );
+                let want = per_query(&engine, &with_bad).unwrap_err();
+                let got = run_batch(&engine, &with_bad, threads).unwrap_err();
+                prop_assert!(got == want, "error diverges at {ctx}: {got:?} vs {want:?}");
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -852,10 +795,10 @@ mod tests {
         let engine = Engine::for_store(&store);
         let one = vec![queries.embeddings().row(0).to_vec()];
         assert_eq!(
-            engine.execute_coalesced(&one, 0).unwrap(),
-            engine.execute_batch(&one, 1).unwrap()
+            run_batch(&engine, &one, 0).unwrap(),
+            per_query(&engine, &one).unwrap()
         );
-        assert!(engine.execute_coalesced(&[], 0).unwrap().is_empty());
+        assert!(run_batch::<Vec<f32>>(&engine, &[], 0).unwrap().is_empty());
     }
 
     #[test]
@@ -869,9 +812,9 @@ mod tests {
         let mut batch = queries.to_vecs();
         batch.insert(2, vec![1.0; 3]);
         batch.insert(5, vec![2.0; 5]);
-        let expected = engine.execute_batch(&batch, 1).unwrap_err();
+        let expected = per_query(&engine, &batch).unwrap_err();
         for threads in [0usize, 1, 4] {
-            let got = engine.execute_coalesced(&batch, threads).unwrap_err();
+            let got = run_batch(&engine, &batch, threads).unwrap_err();
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -905,8 +848,8 @@ mod tests {
             for q in queries.embeddings().iter_rows() {
                 let route = engine.route(q).unwrap();
                 assert_eq!(
-                    engine.execute_routed(q, route).unwrap(),
-                    engine.execute(q).unwrap(),
+                    engine.execute_coalesced_routed(&[q], vec![route], 0).unwrap(),
+                    vec![engine.execute(q).unwrap()],
                     "adaptive={adaptive:?}"
                 );
             }
@@ -922,13 +865,14 @@ mod tests {
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
             let engine = Engine::for_store(&store);
             let batch = queries.to_vecs();
+            let inline = run_batch(&engine, &batch, 1).unwrap();
             for threads in [0usize, 1, 4] {
                 let routes = engine.route_batch(&batch, threads).unwrap();
                 assert_eq!(
                     engine
                         .execute_coalesced_routed(&batch, routes, threads)
                         .unwrap(),
-                    engine.execute_coalesced(&batch, threads).unwrap(),
+                    inline,
                     "adaptive={adaptive:?} threads={threads}"
                 );
             }
@@ -972,10 +916,9 @@ mod tests {
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let engine = Engine::for_store(&store);
         let batch = queries.to_vecs();
-        let reference = engine.execute_batch(&batch, 1).unwrap();
+        let reference = per_query(&engine, &batch).unwrap();
         for threads in [0usize, 2, 64] {
-            assert_eq!(engine.execute_batch(&batch, threads).unwrap(), reference);
-            assert_eq!(engine.execute_coalesced(&batch, threads).unwrap(), reference);
+            assert_eq!(run_batch(&engine, &batch, threads).unwrap(), reference);
         }
     }
 

@@ -4,7 +4,7 @@
 //! Hermes replaces a single monolithic IVF index with a [`ClusteredStore`]
 //! of `C` smaller indices, one per K-means document cluster, each sized to
 //! hide its search latency under LLM inference. Queries then run the
-//! two-phase [`ClusteredStore::hierarchical_search`]:
+//! two-phase hierarchical search of [`exec::Engine::execute`]:
 //!
 //! 1. **Sample** — every cluster is probed cheaply (low `nProbe`, k = 1),
 //!    retrieving one representative document per cluster.
@@ -16,18 +16,18 @@
 //! 4. **Rerank** — per-cluster results merge into the global top-k.
 //!
 //! All four steps run inside one staged query-execution engine
-//! ([`exec::Engine`]): **route** ranks the clusters, **scatter** fans the
-//! top-`m` deep searches out on the shared work-stealing pool so even a
-//! single query uses every core, and **gather** merges per-shard hits in
-//! deterministic input order while folding per-stage work into
-//! [`exec::SearchStats`]. The [`ClusteredStore`] methods (and the
-//! `hermes-rag` baselines built on them) are thin wrappers that execute a
-//! [`exec::QueryPlan`] derived from the store's [`HermesConfig`].
+//! ([`exec::Engine`]) executing an [`exec::QueryPlan`] — by default the
+//! one derived from the store's [`HermesConfig`]: **route** ranks the
+//! clusters, **scatter** fans the top-`m` deep searches out on the shared
+//! work-stealing pool (one task per distinct cluster of a batch, so even
+//! a single query uses every core), and **gather** merges per-shard hits
+//! in deterministic order while folding per-stage work into
+//! [`exec::SearchStats`]. A single query is a batch of one: there is one
+//! scatter/gather body.
 //!
 //! The module split mirrors the design: [`config`] (Table 2 knobs),
 //! [`store`] (splitting + per-cluster indices), [`exec`] (the staged
-//! engine and its work accounting), [`search`] (the store-level entry
-//! points).
+//! engine and its work accounting), [`search`] (the outcome types).
 
 pub mod adaptive;
 pub mod config;

@@ -651,6 +651,7 @@ fn read_exact_or_truncated(f: &mut std::fs::File, buf: &mut [u8]) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Engine;
     use crate::HermesError;
     use hermes_datagen::{Corpus, CorpusSpec};
 
@@ -673,8 +674,8 @@ mod tests {
         assert_eq!(loaded.config(), store.config());
         for q in corpus.embeddings().iter_rows().take(10) {
             assert_eq!(
-                loaded.hierarchical_search(q).unwrap(),
-                store.hierarchical_search(q).unwrap()
+                Engine::for_store(&loaded).execute(q).unwrap(),
+                Engine::for_store(&store).execute(q).unwrap()
             );
         }
     }
@@ -688,8 +689,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let q = corpus.embeddings().row(0);
         assert_eq!(
-            loaded.hierarchical_search(q).unwrap().hits,
-            store.hierarchical_search(q).unwrap().hits
+            Engine::for_store(&loaded).execute(q).unwrap().hits,
+            Engine::for_store(&store).execute(q).unwrap().hits
         );
     }
 
@@ -716,7 +717,7 @@ mod tests {
         assert_eq!(cluster, 3);
         assert_eq!(store.cluster_sizes()[3], before + 1);
         assert_eq!(store.len(), corpus.len() + 1);
-        let out = store.hierarchical_search(&target).unwrap();
+        let out = Engine::for_store(&store).execute(&target).unwrap();
         assert!(
             out.hits.iter().any(|n| n.id == 99_999),
             "freshly inserted document should be retrieved: {:?}",
@@ -745,8 +746,8 @@ mod tests {
         assert_eq!(loaded.generation(), store.generation());
         for q in corpus.embeddings().iter_rows().take(10) {
             assert_eq!(
-                loaded.hierarchical_search(q).unwrap(),
-                store.hierarchical_search(q).unwrap()
+                Engine::for_store(&loaded).execute(q).unwrap(),
+                Engine::for_store(&store).execute(q).unwrap()
             );
         }
     }
@@ -790,8 +791,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let q = corpus.embeddings().row(0);
         assert_eq!(
-            loaded.hierarchical_search(q).unwrap().hits,
-            store.hierarchical_search(q).unwrap().hits
+            Engine::for_store(&loaded).execute(q).unwrap().hits,
+            Engine::for_store(&store).execute(q).unwrap().hits
         );
         // Legacy images predate mutable-store metadata.
         assert_eq!(loaded.generation(), 0);
@@ -848,7 +849,7 @@ mod tests {
         hermes_math::distance::scale(&mut v, 2.0);
         store.insert(77_777, &v).unwrap();
         let loaded = ClusteredStore::from_bytes(&store.to_bytes()).unwrap();
-        let out = loaded.hierarchical_search(&v).unwrap();
+        let out = Engine::for_store(&loaded).execute(&v).unwrap();
         assert!(out.hits.iter().any(|n| n.id == 77_777));
     }
 }

@@ -1,18 +1,10 @@
-//! The hierarchical sample → rank → deep-search → rerank entry points
-//! (paper Section 4.2).
-//!
-//! Every method here is a thin wrapper over the staged scatter–gather
-//! engine in [`crate::exec`]: it builds the matching [`QueryPlan`] and
-//! lets one [`Engine`] run the stages. The wrappers exist so callers can
-//! keep saying `store.hierarchical_search(q)`; callers that need custom
-//! plans (different fan-out caps, exhaustive routing) construct an
-//! [`Engine`] directly.
+//! What a hierarchical sample → rank → deep-search → rerank search
+//! (paper Section 4.2) returns. The search itself runs in
+//! [`crate::exec::Engine`].
 
 use hermes_math::Neighbor;
 
-use crate::exec::{Engine, QueryPlan, SearchStats};
-use crate::store::ClusteredStore;
-use crate::HermesError;
+use crate::exec::SearchStats;
 
 /// Work performed by one search stage, in scanned codes — the quantity
 /// the performance model converts to latency and joules.
@@ -55,95 +47,13 @@ impl SearchOutcome {
     }
 }
 
-impl ClusteredStore {
-    /// Ranks every cluster for `query` without deep-searching any —
-    /// the engine's route stage, also used standalone for
-    /// access-frequency analyses (Figure 13).
-    ///
-    /// Returns `(ranked_clusters, routing_cost)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors (dimension mismatch).
-    pub fn route(&self, query: &[f32]) -> Result<(Vec<usize>, SearchPhaseCost), HermesError> {
-        let out = Engine::for_store(self).route(query)?;
-        Ok((out.ranked_clusters, out.cost))
-    }
-
-    /// Runs the full hierarchical search for `query` using the store's
-    /// configuration (sample `nProbe`, deep `nProbe`, `clusters_to_search`,
-    /// `k`). The query's per-shard samples and deep searches fan out on
-    /// the shared pool (intra-query parallelism); results are
-    /// bit-identical to a sequential shard loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors (dimension mismatch, empty shards).
-    pub fn hierarchical_search(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
-        Engine::for_store(self).execute(query)
-    }
-
-    /// Runs hierarchical searches for a whole batch on the shared
-    /// work-stealing executor ([`hermes_pool::Pool::global`]): one query
-    /// per steal from an atomic cursor — how the paper's retriever
-    /// consumes batches, but robust to the skewed per-query cost its
-    /// Zipf traces produce (static chunks strand threads; stealing does
-    /// not).
-    ///
-    /// `threads` caps the fan-out: `0` uses the pool's full width
-    /// (`HERMES_THREADS` or the machine's parallelism), `1` runs inline
-    /// and sequentially, `t > 1` uses at most `t` threads. Results are
-    /// bit-identical to the sequential loop for every setting, and a
-    /// panicking worker re-raises its original payload on the caller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order.
-    pub fn batch_hierarchical_search(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        Engine::for_store(self).execute_batch(queries, threads)
-    }
-
-    /// Runs the routing + deep-search for every query and returns how
-    /// often each cluster was deep-searched — the access-frequency trace
-    /// of Figures 13/18 and the input to the DVFS study.
-    ///
-    /// `threads` caps the per-query fan-out as in
-    /// [`Self::batch_hierarchical_search`] (`0` = full pool, `1` =
-    /// inline sequential); the histogram accumulation itself is always
-    /// sequential in input order, so counts are deterministic for any
-    /// setting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order.
-    pub fn access_histogram(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<usize>, HermesError> {
-        Engine::for_store(self).access_histogram(queries, threads)
-    }
-
-    /// Exhaustively deep-searches *all* clusters and merges — the naive
-    /// distributed baseline Hermes is compared against (Figure 18).
-    /// Equivalent to executing [`QueryPlan::exhaustive`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors.
-    pub fn search_all_clusters(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
-        Engine::new(self, QueryPlan::exhaustive(self.config())).execute(query)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{HermesConfig, Routing, SplitStrategy};
+    use crate::exec::{Engine, QueryPlan};
+    use crate::store::ClusteredStore;
+    use crate::HermesError;
     use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
     use hermes_index::{FlatIndex, SearchParams, VectorIndex};
     use hermes_metrics::{ndcg_at_k, ranking::ids};
@@ -153,6 +63,16 @@ mod tests {
         let corpus = Corpus::generate(CorpusSpec::new(1200, 24, 8).with_seed(7));
         let queries = QuerySet::generate(&corpus, QuerySpec::new(30).with_seed(8));
         (corpus, queries)
+    }
+
+    /// Routes and executes a batch through the engine's one batch path.
+    fn batch_search(
+        store: &ClusteredStore,
+        queries: &[Vec<f32>],
+        threads: usize,
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        let engine = Engine::for_store(store);
+        engine.execute_coalesced_routed(queries, engine.route_batch(queries, threads)?, threads)
     }
 
     fn truth(corpus: &Corpus, query: &[f32], k: usize) -> Vec<u64> {
@@ -165,9 +85,7 @@ mod tests {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(8).with_seed(1).with_k(5);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let out = store
-            .hierarchical_search(queries.embeddings().row(0))
-            .unwrap();
+        let out = Engine::for_store(&store).execute(queries.embeddings().row(0)).unwrap();
         assert_eq!(out.hits.len(), 5);
         assert_eq!(out.searched_clusters.len(), 3);
         assert_eq!(out.ranked_clusters.len(), 8);
@@ -184,9 +102,7 @@ mod tests {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(8).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let out = store
-            .hierarchical_search(queries.embeddings().row(3))
-            .unwrap();
+        let out = Engine::for_store(&store).execute(queries.embeddings().row(3)).unwrap();
         assert_eq!(out.searched_clusters[..], out.ranked_clusters[..3]);
     }
 
@@ -203,7 +119,7 @@ mod tests {
         let mut scores = Vec::new();
         for q in queries.embeddings().iter_rows() {
             let t = truth(&corpus, q, 5);
-            let got = store.hierarchical_search(q).unwrap();
+            let got = Engine::for_store(&store).execute(q).unwrap();
             scores.push(ndcg_at_k(&t, &ids(&got.hits), 5));
         }
         let mean = hermes_metrics::ranking::mean(scores);
@@ -223,8 +139,8 @@ mod tests {
         let mut n_sum = 0.0;
         for q in queries.embeddings().iter_rows() {
             let t = truth(&corpus, q, 5);
-            h_sum += ndcg_at_k(&t, &ids(&hermes.hierarchical_search(q).unwrap().hits), 5);
-            n_sum += ndcg_at_k(&t, &ids(&naive.hierarchical_search(q).unwrap().hits), 5);
+            h_sum += ndcg_at_k(&t, &ids(&Engine::for_store(&hermes).execute(q).unwrap().hits), 5);
+            n_sum += ndcg_at_k(&t, &ids(&Engine::for_store(&naive).execute(q).unwrap().hits), 5);
         }
         assert!(
             h_sum > n_sum * 1.2,
@@ -246,8 +162,8 @@ mod tests {
         let mut c_sum = 0.0;
         for q in queries.embeddings().iter_rows() {
             let t = truth(&corpus, q, 5);
-            s_sum += ndcg_at_k(&t, &ids(&sampled.hierarchical_search(q).unwrap().hits), 5);
-            c_sum += ndcg_at_k(&t, &ids(&centroid.hierarchical_search(q).unwrap().hits), 5);
+            s_sum += ndcg_at_k(&t, &ids(&Engine::for_store(&sampled).execute(q).unwrap().hits), 5);
+            c_sum += ndcg_at_k(&t, &ids(&Engine::for_store(&centroid).execute(q).unwrap().hits), 5);
         }
         assert!(s_sum >= c_sum * 0.97, "sampling {s_sum} vs centroid {c_sum}");
     }
@@ -259,7 +175,9 @@ mod tests {
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         for q in queries.embeddings().iter_rows().take(10) {
             let t = truth(&corpus, q, 5);
-            let all = store.search_all_clusters(q).unwrap();
+            let all = Engine::new(&store, QueryPlan::exhaustive(store.config()))
+                .execute(q)
+                .unwrap();
             // Full fan-out over Flat-coded shards with nprobe 128 is
             // essentially exact.
             let ndcg = ndcg_at_k(&t, &ids(&all.hits), 5);
@@ -272,8 +190,8 @@ mod tests {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(8).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let out = store
-            .search_all_clusters(queries.embeddings().row(0))
+        let out = Engine::new(&store, QueryPlan::exhaustive(store.config()))
+            .execute(queries.embeddings().row(0))
             .unwrap();
         assert_eq!(out.sample_cost(), SearchPhaseCost::default());
         assert_eq!(out.deep_cost().clusters_touched, 8);
@@ -290,7 +208,7 @@ mod tests {
             let mut sum = 0.0;
             for q in queries.embeddings().iter_rows() {
                 let t = truth(&corpus, q, 5);
-                sum += ndcg_at_k(&t, &ids(&store.hierarchical_search(q).unwrap().hits), 5);
+                sum += ndcg_at_k(&t, &ids(&Engine::for_store(&store).execute(q).unwrap().hits), 5);
             }
             assert!(sum >= prev - 0.5, "m={m}: {sum} < {prev}");
             prev = sum;
@@ -303,8 +221,8 @@ mod tests {
         let cfg = HermesConfig::new(8).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let q = queries.embeddings().row(5);
-        let (ranked, _) = store.route(q).unwrap();
-        let out = store.hierarchical_search(q).unwrap();
+        let ranked = Engine::for_store(&store).route(q).unwrap().ranked_clusters;
+        let out = Engine::for_store(&store).execute(q).unwrap();
         assert_eq!(ranked, out.ranked_clusters);
     }
 
@@ -319,7 +237,7 @@ mod tests {
             .take(10)
             .map(<[f32]>::to_vec)
             .collect();
-        let hist = store.access_histogram(&qs, 0).unwrap();
+        let hist = Engine::for_store(&store).access_histogram(&qs, 0).unwrap();
         assert_eq!(hist.len(), 8);
         assert_eq!(hist.iter().sum::<usize>(), 10 * 3);
     }
@@ -337,12 +255,12 @@ mod tests {
             .collect();
         let sequential: Vec<_> = qs
             .iter()
-            .map(|q| store.hierarchical_search(q).unwrap())
+            .map(|q| Engine::for_store(&store).execute(q).unwrap())
             .collect();
         // 0 = full pool width, 1 = inline, 4 = capped, 64 = oversubscribed;
         // every schedule must be bit-identical to the sequential loop.
         for threads in [0usize, 1, 4, 64] {
-            let batched = store.batch_hierarchical_search(&qs, threads).unwrap();
+            let batched = batch_search(&store, &qs, threads).unwrap();
             assert_eq!(sequential, batched, "threads={threads}");
         }
     }
@@ -353,7 +271,7 @@ mod tests {
         let cfg = HermesConfig::new(4).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let bad = vec![vec![1.0f32, 2.0], vec![3.0, 4.0]];
-        assert!(store.batch_hierarchical_search(&bad, 2).is_err());
+        assert!(batch_search(&store, &bad, 2).is_err());
     }
 
     #[test]
@@ -369,12 +287,12 @@ mod tests {
         let batch = vec![good(0), vec![1.0f32, 2.0], good(1), vec![3.0f32]];
         let sequential_err = batch
             .iter()
-            .map(|q| store.hierarchical_search(q))
+            .map(|q| Engine::for_store(&store).execute(q))
             .find_map(Result::err)
             .unwrap();
         assert!(matches!(sequential_err, HermesError::Index(_)));
         for threads in [0usize, 2, 16] {
-            let batch_err = store.batch_hierarchical_search(&batch, threads).unwrap_err();
+            let batch_err = batch_search(&store, &batch, threads).unwrap_err();
             assert_eq!(batch_err, sequential_err, "threads={threads}");
         }
     }
@@ -391,13 +309,13 @@ mod tests {
             .collect();
         let mut expected = vec![0usize; store.num_clusters()];
         for q in &qs {
-            for &c in &store.hierarchical_search(q).unwrap().searched_clusters {
+            for &c in &Engine::for_store(&store).execute(q).unwrap().searched_clusters {
                 expected[c] += 1;
             }
         }
         for threads in [0usize, 1, 4] {
             assert_eq!(
-                store.access_histogram(&qs, threads).unwrap(),
+                Engine::for_store(&store).access_histogram(&qs, threads).unwrap(),
                 expected,
                 "threads={threads}"
             );
@@ -410,7 +328,7 @@ mod tests {
         let store =
             ClusteredStore::build(corpus.embeddings(), &HermesConfig::new(4).with_seed(1))
                 .unwrap();
-        let err = store.hierarchical_search(&[1.0, 2.0]).unwrap_err();
+        let err = Engine::for_store(&store).execute(&[1.0, 2.0]).unwrap_err();
         assert!(matches!(err, HermesError::Index(_)));
     }
 }

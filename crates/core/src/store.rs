@@ -7,6 +7,10 @@ use hermes_index::{IvfIndex, VectorIndex};
 use crate::config::{HermesConfig, SplitStrategy};
 use crate::HermesError;
 
+/// Id of the tombstoned row a shard that K-means left empty is built
+/// around (see [`ClusteredStore::build`]).
+const PLACEHOLDER_ID: u64 = u64::MAX;
+
 /// Metadata about one cluster shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterInfo {
@@ -137,20 +141,26 @@ impl ClusteredStore {
         let mut shards = Vec::with_capacity(c);
         let mut sizes = Vec::with_capacity(c);
         for (s, (rows, ids)) in shard_rows.into_iter().zip(shard_ids).enumerate() {
-            // K-means can leave a shard empty on degenerate data; keep a
-            // sentinel one-vector shard so cluster indices stay aligned.
-            let (rows, ids) = if rows.is_empty() {
-                (vec![split_centroids.row(s).to_vec()], vec![u64::MAX])
+            // K-means can leave a shard empty on degenerate data; build it
+            // around its centroid (an IVF index needs training data) so
+            // cluster indices stay aligned, then tombstone that placeholder
+            // row so the shard holds no live documents and never answers.
+            let placeholder = rows.is_empty();
+            let (rows, ids) = if placeholder {
+                (vec![split_centroids.row(s).to_vec()], vec![PLACEHOLDER_ID])
             } else {
                 (rows, ids)
             };
-            sizes.push(ids.len());
             let shard_data = Mat::from_rows(&rows);
-            let index = IvfIndex::builder()
+            let mut index = IvfIndex::builder()
                 .codec(config.codec)
                 .metric(config.metric)
                 .seed(hermes_math::rng::derive_seed(config.seed, s as u64))
                 .build_with_ids(&shard_data, ids)?;
+            if placeholder {
+                index.remove(PLACEHOLDER_ID);
+            }
+            sizes.push(index.len());
             shards.push(index);
         }
 

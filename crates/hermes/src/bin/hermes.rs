@@ -262,7 +262,9 @@ fn cmd_search(opts: &Flags) -> Result<(), String> {
     let k = get_usize(opts, "k", store.config().k)?;
     let dim = store.split_centroids_mat().cols();
     let query = HashEncoder::new(dim).encode(query_text);
-    let out = store.hierarchical_search(&query).map_err(|e| e.to_string())?;
+    let out = Engine::for_store(&store)
+        .execute(&query)
+        .map_err(|e| e.to_string())?;
     println!(
         "routed to clusters {:?} (of {:?})",
         out.searched_clusters, out.ranked_clusters
@@ -342,17 +344,16 @@ fn run_traced_workload(opts: &Flags) -> Result<hermes::trace::TraceSnapshot, Str
         QuerySpec::new(num_queries).with_seed(spec.seed.wrapping_add(7)),
     );
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
+    let qs: Vec<&[f32]> = queries.embeddings().iter_rows().collect();
+    let engine = Engine::for_store(&store);
+    let search = || {
+        let routes = engine.route_batch(&qs, threads)?;
+        engine.execute_coalesced_routed(&qs, routes, threads)
+    };
     hermes::trace::clear();
-    let baseline = store
-        .batch_hierarchical_search(&qs, threads)
-        .map_err(|e| e.to_string())?;
+    let baseline = search().map_err(|e| e.to_string())?;
     hermes::trace::enable();
-    let traced = store.batch_hierarchical_search(&qs, threads);
+    let traced = search();
     hermes::trace::disable();
     let snap = hermes::trace::snapshot();
     if traced.map_err(|e| e.to_string())? != baseline {

@@ -35,7 +35,8 @@
 //!
 //! // 3. Hierarchical search: sample all clusters, deep-search the top 3.
 //! let queries = QuerySet::generate(&corpus, QuerySpec::new(4).with_seed(3));
-//! let outcome = store.hierarchical_search(queries.embeddings().row(0))?;
+//! let engine = Engine::for_store(&store);
+//! let outcome = engine.execute(queries.embeddings().row(0))?;
 //! assert_eq!(outcome.hits.len(), config.k);
 //! assert_eq!(outcome.searched_clusters.len(), 3);
 //! # Ok::<(), hermes::core::HermesError>(())

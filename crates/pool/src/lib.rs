@@ -1,7 +1,7 @@
 //! First-party work-stealing executor for the workspace's batch paths.
 //!
 //! Every batched fan-out in the repo — `VectorIndex::batch_search`,
-//! `ClusteredStore::batch_hierarchical_search`, the K-means assignment
+//! the engine's batch route and coalesced scatter, the K-means assignment
 //! sweeps and the brute-force ground-truth oracle — used to spawn fresh
 //! OS threads per call and split the work into static chunks. Under the
 //! skewed per-query cost the paper's Zipf traces produce (Figure 13),

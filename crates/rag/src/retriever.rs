@@ -214,7 +214,7 @@ impl Retriever {
 
     /// The cache-fronted path: exact lookup, then (for clustered
     /// backends) one route that both buckets the semantic lookup and —
-    /// on a miss — feeds [`Engine::execute_routed`], so the route stage
+    /// on a miss — feeds [`Engine::execute_coalesced_routed`], so the route stage
     /// is never paid twice. Cached hits return the stored `Retrieval`
     /// verbatim, work accounting included: `scanned_codes` reports what
     /// computing the answer cost, not the (zero) cost of serving it —
@@ -248,7 +248,9 @@ impl Retriever {
                 if let Some(hit) = cache.lookup_semantic(query, bucket, version) {
                     return Ok(hit.payload);
                 }
-                let out = clustered_retrieval(engine.execute_routed(query, route)?);
+                let threads = engine.plan().scatter_threads;
+                let mut outs = engine.execute_coalesced_routed(&[query], vec![route], threads)?;
+                let out = clustered_retrieval(outs.pop().expect("one outcome per query"));
                 cache.insert(query.to_vec(), bucket, version, out.clone());
                 Ok(out)
             }
@@ -270,7 +272,7 @@ impl Retriever {
                 })
             }
             Backend::Clustered(store) => {
-                Ok(clustered_retrieval(store.hierarchical_search(query)?))
+                Ok(clustered_retrieval(Engine::for_store(store).execute(query)?))
             }
         }
     }

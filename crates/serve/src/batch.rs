@@ -1,6 +1,6 @@
 //! Cluster-overlap analysis of a formed batch.
 //!
-//! The engine's coalesced scatter ([`hermes_core::exec::Engine::execute_coalesced`])
+//! The engine's coalesced scatter ([`hermes_core::exec::Engine::execute_coalesced_routed`])
 //! turns `requests × m` deep searches into one task per *distinct*
 //! cluster. This module computes the shape of that sharing for a batch:
 //! which requests ride the same shard visits (connected components over

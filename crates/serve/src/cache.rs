@@ -3,8 +3,9 @@
 //!
 //! [`CachedBackend`] wraps a [`GenerationCell`] the way
 //! [`GenerationBackend`](crate::GenerationBackend) does, but consults a
-//! [`SemanticCache`] of [`SearchOutcome`]s before touching any shard.
-//! One dispatched batch flows through three phases:
+//! [`SemanticCache`] of [`SearchOutcome`]s before touching any shard. It
+//! runs the same dispatch as every engine-backed backend (see
+//! [`crate::server`]), with its cache plugged in:
 //!
 //! 1. **Exact phase** — every query is probed by bit pattern. Hits are
 //!    answered immediately: zero routing, zero scatter.
@@ -28,20 +29,25 @@
 //! the stored query*; serving it for a probe within `1 − threshold`
 //! cosine is the layer's explicit approximation, disabled entirely by
 //! [`CacheConfig::exact_only`].
+//!
+//! **Panics:** a panic while the cache lock is held (say, inside an
+//! insert) poisons the lock. The next dispatch takes the lock anyway and
+//! empties the cache — a half-finished insert may have left it
+//! inconsistent, and every entry can be recomputed — so one panic costs
+//! hits, never correctness or the backend.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
 use hermes_core::exec::Engine;
 use hermes_core::search::SearchOutcome;
 use hermes_core::HermesError;
-use hermes_obs::{CachePath, Phase, PhaseNs};
+use hermes_obs::CachePath;
 use hermes_trace::names;
 
-use crate::batch::coalesce_groups;
 use crate::generation::GenerationCell;
 use crate::request::Request;
-use crate::server::{Backend, BatchOutcome};
+use crate::server::{dispatch, Backend, BatchOutcome};
 
 /// A [`Backend`] that serves repeated and near-duplicate queries from a
 /// [`SemanticCache`] and computes only the true misses.
@@ -53,8 +59,8 @@ pub struct CachedBackend {
 
 impl CachedBackend {
     /// A cache of `cache_cfg` in front of whatever generation `cell`
-    /// publishes at dispatch time, with inter-query fan-out `threads`
-    /// (`0` = full pool, `1` = inline).
+    /// publishes at dispatch time, with batch fan-out `threads` (`0` =
+    /// full pool, `1` = inline).
     pub fn new(cell: Arc<GenerationCell>, threads: usize, cache_cfg: CacheConfig) -> Self {
         CachedBackend {
             cell,
@@ -70,7 +76,18 @@ impl CachedBackend {
 
     /// Cache accounting so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache poisoned").stats()
+        self.lock_cache().stats()
+    }
+
+    /// Takes the cache lock. A lock poisoned by a panic is recovered with
+    /// an emptied cache (see the module docs).
+    fn lock_cache(&self) -> MutexGuard<'_, SemanticCache<SearchOutcome>> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            self.cache.clear_poison();
+            cache
+        })
     }
 }
 
@@ -79,94 +96,22 @@ impl Backend for CachedBackend {
         let mut sp = hermes_trace::span_with(names::CACHE_BATCH, &[("queries", batch.len() as u64)]);
         let store = self.cell.current();
         let version = self.cell.version();
-        let engine = Engine::for_store(&store);
-        let queries: Vec<Vec<f32>> = batch.iter().map(|r| r.query.clone()).collect();
-        let mut phases = PhaseNs::new();
-        let mut cache_paths = vec![CachePath::Computed; queries.len()];
-        let t0 = hermes_trace::now_ns();
-
-        let mut slots: Vec<Option<SearchOutcome>> = vec![None; queries.len()];
-        let mut cache = self.cache.lock().expect("cache poisoned");
-
-        // Phase 1: exact bit-pattern hits.
-        for (slot, q) in slots.iter_mut().zip(&queries) {
-            *slot = cache.lookup_exact(q, version).cloned();
-        }
-        for (path, slot) in cache_paths.iter_mut().zip(&slots) {
-            if slot.is_some() {
-                *path = CachePath::ExactHit;
-            }
-        }
-        let t_exact = hermes_trace::now_ns();
-        phases.add(Phase::CacheProbe, t_exact.saturating_sub(t0));
-        let missed: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-
-        // Phase 2+3: route the misses once; the route both buckets the
-        // semantic lookup and feeds the coalesced scatter of what's left.
-        let mut executed_searched: Vec<Vec<usize>> = Vec::new();
-        if !missed.is_empty() {
-            let miss_queries: Vec<Vec<f32>> = missed.iter().map(|&i| queries[i].clone()).collect();
-            let routes = engine.route_batch(&miss_queries, self.threads)?;
-            let t_route = hermes_trace::now_ns();
-            phases.add(Phase::Route, t_route.saturating_sub(t_exact));
-            let mut compute: Vec<(usize, Vec<f32>)> = Vec::new();
-            let mut compute_routes = Vec::new();
-            for ((&i, q), route) in missed.iter().zip(miss_queries).zip(routes) {
-                match cache.lookup_semantic(&q, route.top_cluster(), version) {
-                    Some(hit) => {
-                        slots[i] = Some(hit.payload);
-                        cache_paths[i] = CachePath::SemanticHit;
-                    }
-                    None => {
-                        compute.push((i, q));
-                        compute_routes.push(route);
-                    }
-                }
-            }
-            let t_semantic = hermes_trace::now_ns();
-            phases.add(Phase::CacheProbe, t_semantic.saturating_sub(t_route));
-            if !compute.is_empty() {
-                let compute_queries: Vec<Vec<f32>> =
-                    compute.iter().map(|(_, q)| q.clone()).collect();
-                let outcomes = engine.execute_coalesced_routed(
-                    &compute_queries,
-                    compute_routes,
-                    self.threads,
-                )?;
-                for ((i, q), outcome) in compute.into_iter().zip(outcomes) {
-                    let bucket = outcome.ranked_clusters.first().copied();
-                    cache.insert(q, bucket, version, outcome.clone());
-                    executed_searched.push(outcome.searched_clusters.clone());
-                    slots[i] = Some(outcome);
-                }
-                phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t_semantic));
-            }
-        }
-        let stats = cache.stats();
-        drop(cache);
-        let service_ns = hermes_trace::now_ns().saturating_sub(t0);
-
-        let outcomes: Vec<SearchOutcome> = slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled by a hit or a computation"))
-            .collect();
-        // Coalescing accounting covers only the work actually executed —
-        // cache hits touched no shard.
-        let plan = coalesce_groups(&executed_searched);
-        sp.arg("hits", stats.hits());
-        sp.arg("computed", executed_searched.len() as u64);
-        Ok(BatchOutcome {
-            outcomes,
-            service_ns,
-            distinct_clusters: plan.distinct_clusters,
-            shared_visits: plan.shared_visits(),
-            phases,
-            cache_paths,
-        })
+        let mut cache = self.lock_cache();
+        let out = dispatch(
+            &Engine::for_store(&store),
+            self.threads,
+            batch,
+            Some((&mut cache, version)),
+        )?;
+        sp.arg("hits", cache.stats().hits());
+        sp.arg(
+            "computed",
+            out.cache_paths
+                .iter()
+                .filter(|&&p| p == CachePath::Computed)
+                .count() as u64,
+        );
+        Ok(out)
     }
 }
 
@@ -187,6 +132,10 @@ mod tests {
         (queries.to_vecs(), Arc::new(GenerationCell::new(store)))
     }
 
+    fn execute_each(engine: &Engine, queries: &[Vec<f32>]) -> Vec<SearchOutcome> {
+        queries.iter().map(|q| engine.execute(q).unwrap()).collect()
+    }
+
     fn requests(queries: &[Vec<f32>]) -> Vec<Request> {
         queries
             .iter()
@@ -203,7 +152,7 @@ mod tests {
 
         let store = cell.current();
         let engine = Engine::for_store(&store);
-        let reference = engine.execute_batch(&queries, 1).unwrap();
+        let reference = execute_each(&engine, &queries);
 
         let cold = backend.run(&reqs).unwrap();
         assert_eq!(cold.outcomes, reference, "cold pass computes everything");
@@ -231,7 +180,7 @@ mod tests {
 
         let store = cell.current();
         let engine = Engine::for_store(&store);
-        let fresh = engine.execute_batch(&queries, 1).unwrap();
+        let fresh = execute_each(&engine, &queries);
         let post = backend.run(&reqs).unwrap();
         assert_eq!(post.outcomes, fresh, "post-churn answers are recomputed");
         let stats = backend.cache_stats();
@@ -264,7 +213,7 @@ mod tests {
         // Every semantic hit equals the stored query's exact outcome.
         let store = cell.current();
         let engine = Engine::for_store(&store);
-        let reference = engine.execute_batch(&queries, 1).unwrap();
+        let reference = execute_each(&engine, &queries);
         for (i, (got, want)) in out.outcomes.iter().zip(&reference).enumerate() {
             if got == want {
                 continue; // semantic hit: stored outcome served verbatim
@@ -273,5 +222,35 @@ mod tests {
             // computed exactly for the perturbed vector.
             assert_eq!(*got, engine.execute(&near[i]).unwrap());
         }
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_disable_the_backend() {
+        let (queries, cell) = setup();
+        let backend = CachedBackend::new(cell.clone(), 1, CacheConfig::default());
+        let reqs = requests(&queries);
+        backend.run(&reqs).unwrap();
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _guard = backend.cache.lock().unwrap();
+                    panic!("injected panic while holding the cache lock");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(backend.cache.is_poisoned());
+
+        let store = cell.current();
+        let reference = execute_each(&Engine::for_store(&store), &queries);
+        let out = backend.run(&reqs).unwrap();
+        assert_eq!(out.outcomes, reference, "recovered dispatch is exact");
+        assert!(
+            out.cache_paths.iter().all(|&p| p == CachePath::Computed),
+            "the recovered cache starts empty"
+        );
+        assert!(!backend.cache.is_poisoned());
+        assert_eq!(backend.run(&reqs).unwrap().outcomes, reference);
+        assert!(backend.cache_stats().exact_hits >= queries.len() as u64);
     }
 }

@@ -13,9 +13,10 @@
 //! * [`server`] — the discrete-event [`Server`]: virtual-time dispatch
 //!   loop, deadline expiry, per-class latency histograms
 //!   ([`hermes_trace::hist::LogHistogram`]), pluggable [`Backend`]
-//!   ([`EngineBackend`] for real execution via
-//!   [`hermes_core::exec::Engine::execute_coalesced`],
-//!   [`FixedServiceBackend`] as the queue model in backend form).
+//!   ([`EngineBackend`], [`GenerationBackend`] and [`CachedBackend`] for
+//!   real execution — one dispatch through the engine's route and
+//!   coalesced scatter/gather — and [`FixedServiceBackend`] as the queue
+//!   model in backend form).
 //! * [`loadgen`] — open-loop (seeded Poisson, shared with
 //!   `hermes_sim::queueing` through [`hermes_datagen::arrivals`]) and
 //!   closed-loop (users + think time) drivers.

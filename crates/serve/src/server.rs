@@ -10,18 +10,24 @@
 //! `hermes_sim::queueing` M/D/1 recurrence, which is what
 //! `tests/serving_oracle.rs` exploits.
 //!
-//! Only the [`Backend`] touches clocks: [`EngineBackend`] brackets each
-//! dispatch with two [`hermes_trace::now_ns`] reads to measure real
-//! service time (under an installed
-//! [`hermes_trace::clock::TestClock`] those reads are deterministic
-//! too).
+//! Only the [`Backend`] touches clocks. The three engine-backed
+//! backends — [`EngineBackend`] (a fixed engine),
+//! [`GenerationBackend`](crate::GenerationBackend) (whatever store a
+//! [`GenerationCell`](crate::GenerationCell) publishes) and
+//! [`CachedBackend`](crate::CachedBackend) (the same, behind a semantic
+//! cache) — differ only in how they get the store and whether they hold
+//! a cache: all run one dispatch, which reads [`hermes_trace::now_ns`]
+//! at each stage boundary to measure real service time and split it into
+//! phases (under an installed [`hermes_trace::clock::TestClock`] those
+//! reads are deterministic too).
 //!
 //! Results are never affected by scheduling: every completed request
 //! carries the exact [`SearchOutcome`] the standalone engine returns for
-//! its query, because both engine paths
-//! ([`Engine::execute_batch`] / [`Engine::execute_coalesced`]) are
-//! bit-identical to [`Engine::execute`] per query.
+//! its query, because the engine's one batch path
+//! ([`Engine::route_batch`] then [`Engine::execute_coalesced_routed`])
+//! is bit-identical to [`Engine::execute`] per query.
 
+use hermes_cache::SemanticCache;
 use hermes_core::exec::Engine;
 use hermes_core::search::SearchOutcome;
 use hermes_core::HermesError;
@@ -64,36 +70,23 @@ pub struct BatchOutcome {
     /// [`hermes_obs::Phase::Residual`] when timelines are built.
     pub phases: PhaseNs,
     /// Per-request cache disposition aligned with the batch; empty when
-    /// the backend has no cache (every request then counts as
+    /// the backend executes nothing (every request then counts as
     /// [`CachePath::Computed`]).
     pub cache_paths: Vec<CachePath>,
 }
 
-/// Real execution over [`Engine`], coalesced by default.
+/// Real execution over a fixed [`Engine`].
 pub struct EngineBackend<'s> {
     engine: Engine<'s>,
     threads: usize,
-    coalesce: bool,
 }
 
 impl<'s> EngineBackend<'s> {
-    /// A backend dispatching batches to `engine` with inter-query
-    /// fan-out `threads` (`0` = full pool, `1` = inline), scatter
-    /// coalesced by cluster.
+    /// A backend dispatching batches to `engine` with batch fan-out
+    /// `threads` (`0` = full pool, `1` = inline), scatter coalesced by
+    /// cluster.
     pub fn new(engine: Engine<'s>, threads: usize) -> Self {
-        EngineBackend {
-            engine,
-            threads,
-            coalesce: true,
-        }
-    }
-
-    /// Disables cluster coalescing (each request scatters independently
-    /// via [`Engine::execute_batch`]) — the A/B lever for the
-    /// `ext_serving` bench. Results are identical either way.
-    pub fn with_coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
+        EngineBackend { engine, threads }
     }
 
     /// The wrapped engine.
@@ -104,42 +97,108 @@ impl<'s> EngineBackend<'s> {
 
 impl Backend for EngineBackend<'_> {
     fn run(&self, batch: &[Request]) -> Result<BatchOutcome, HermesError> {
-        let queries: Vec<Vec<f32>> = batch.iter().map(|r| r.query.clone()).collect();
-        let mut phases = PhaseNs::new();
-        let t0 = hermes_trace::now_ns();
-        let outcomes = if self.coalesce {
-            // The coalesced path split at its route/scatter seam — the
-            // exact decomposition `Engine::execute_coalesced` performs
-            // internally, pinned bit-identical by the core equivalence
-            // tests — so the clock reads bracket Route vs Deep.
-            let routes = self.engine.route_batch(&queries, self.threads)?;
-            let t_routed = hermes_trace::now_ns();
-            phases.add(Phase::Route, t_routed.saturating_sub(t0));
-            let outcomes =
-                self.engine
-                    .execute_coalesced_routed(&queries, routes, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t_routed));
-            outcomes
-        } else {
-            let outcomes = self.engine.execute_batch(&queries, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t0));
-            outcomes
-        };
-        let service_ns = phases.total();
-        let searched: Vec<Vec<usize>> = outcomes
-            .iter()
-            .map(|o| o.searched_clusters.clone())
-            .collect();
-        let plan = coalesce_groups(&searched);
-        Ok(BatchOutcome {
-            outcomes,
-            service_ns,
-            distinct_clusters: plan.distinct_clusters,
-            shared_visits: plan.shared_visits(),
-            phases,
-            cache_paths: Vec::new(),
-        })
+        dispatch(&self.engine, self.threads, batch, None)
     }
+}
+
+/// The one dispatch every engine-backed [`Backend`] runs, optionally
+/// behind a cache whose entries must carry the given store version:
+///
+/// 1. **Exact probe** (with a cache) — every query is looked up by bit
+///    pattern; hits need no routing and no scatter.
+/// 2. **Route** — the rest are routed once ([`Engine::route_batch`]).
+/// 3. **Semantic probe** (with a cache) — each route's top cluster
+///    buckets a near-duplicate lookup.
+/// 4. **Coalesced run** — the true misses reuse their routes in
+///    [`Engine::execute_coalesced_routed`] (the route stage is never
+///    paid twice); with a cache each fresh outcome is inserted.
+///
+/// The clock reads at the stage boundaries split the service time into
+/// Route / Deep / CacheProbe phases — without a cache exactly three
+/// reads, so the service time is `Route + Deep`. Coalescing accounting
+/// covers only the work actually executed: cache hits touch no shard.
+pub(crate) fn dispatch(
+    engine: &Engine,
+    threads: usize,
+    batch: &[Request],
+    mut cache: Option<(&mut SemanticCache<SearchOutcome>, u64)>,
+) -> Result<BatchOutcome, HermesError> {
+    // One clock read per stage boundary, charging the time since the
+    // previous boundary to the stage that just ended.
+    let mut phases = PhaseNs::new();
+    let mut last_ns = hermes_trace::now_ns();
+    let mut lap = |phase: Phase| {
+        let now = hermes_trace::now_ns();
+        phases.add(phase, now.saturating_sub(last_ns));
+        last_ns = now;
+    };
+    let mut slots: Vec<Option<SearchOutcome>> = vec![None; batch.len()];
+    let mut cache_paths = vec![CachePath::Computed; batch.len()];
+    if let Some((cache, version)) = cache.as_mut() {
+        for ((slot, path), req) in slots.iter_mut().zip(&mut cache_paths).zip(batch) {
+            *slot = cache.lookup_exact(&req.query, *version).cloned();
+            if slot.is_some() {
+                *path = CachePath::ExactHit;
+            }
+        }
+        lap(Phase::CacheProbe);
+    }
+    let missed: Vec<usize> = (0..batch.len()).filter(|&i| slots[i].is_none()).collect();
+    let mut computed = Vec::new();
+    if !missed.is_empty() {
+        let queries: Vec<&[f32]> = missed.iter().map(|&i| batch[i].query.as_slice()).collect();
+        let routes = engine.route_batch(&queries, threads)?;
+        lap(Phase::Route);
+        let mut compute_routes = Vec::new();
+        for (&i, route) in missed.iter().zip(routes) {
+            let hit = cache.as_mut().and_then(|(cache, version)| {
+                cache.lookup_semantic(&batch[i].query, route.top_cluster(), *version)
+            });
+            match hit {
+                Some(hit) => {
+                    slots[i] = Some(hit.payload);
+                    cache_paths[i] = CachePath::SemanticHit;
+                }
+                None => {
+                    computed.push(i);
+                    compute_routes.push(route);
+                }
+            }
+        }
+        if cache.is_some() {
+            lap(Phase::CacheProbe);
+        }
+        if !computed.is_empty() {
+            let queries: Vec<&[f32]> =
+                computed.iter().map(|&i| batch[i].query.as_slice()).collect();
+            let outcomes = engine.execute_coalesced_routed(&queries, compute_routes, threads)?;
+            for (&i, outcome) in computed.iter().zip(outcomes) {
+                if let Some((cache, version)) = cache.as_mut() {
+                    let bucket = outcome.ranked_clusters.first().copied();
+                    cache.insert(batch[i].query.clone(), bucket, *version, outcome.clone());
+                }
+                slots[i] = Some(outcome);
+            }
+            lap(Phase::Deep);
+        }
+    }
+    let outcomes: Vec<SearchOutcome> = slots
+        .into_iter()
+        .map(|s| s.expect("every slot filled by a hit or a computation"))
+        .collect();
+    let searched: Vec<Vec<usize>> = computed
+        .iter()
+        .map(|&i| outcomes[i].searched_clusters.clone())
+        .collect();
+    let plan = coalesce_groups(&searched);
+    Ok(BatchOutcome {
+        outcomes,
+        service_ns: phases.total(),
+        distinct_clusters: plan.distinct_clusters,
+        shared_visits: plan.shared_visits(),
+        phases,
+        cache_paths,
+    })
 }
 
 /// Synthetic backend with a deterministic service-time law — the queue

@@ -145,7 +145,7 @@ impl Deployment {
 
     /// Sets per-node access frequencies from a raw deep-search access
     /// histogram, e.g. the output of
-    /// `ClusteredStore::access_histogram(queries, threads)` — the counts
+    /// `Engine::access_histogram(queries, threads)` — the counts
     /// are normalized to frequencies summing to 1.
     ///
     /// # Panics

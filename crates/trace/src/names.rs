@@ -57,11 +57,10 @@ pub const COUNTERS: &[(&str, &str)] = &[
 pub const ENGINE_EXECUTE: &str = "engine.execute";
 /// Route stage of one query.
 pub const ENGINE_ROUTE: &str = "engine.route";
-/// Scatter stage of one query.
-pub const ENGINE_SCATTER: &str = "engine.scatter";
 /// Gather stage of one query.
 pub const ENGINE_GATHER: &str = "engine.gather";
-/// One cluster-coalesced batch execution.
+/// The scatter stage of a batch (one query or many), coalesced by
+/// cluster.
 pub const ENGINE_COALESCED: &str = "engine.coalesced";
 /// One route-stage sampling probe of a shard.
 pub const SHARD_SAMPLE: &str = "shard.sample";

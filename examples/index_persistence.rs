@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut serving = ClusteredStore::load(&path)?;
     let queries = QuerySet::generate(&corpus, QuerySpec::new(3).with_seed(5));
     for (i, q) in queries.embeddings().iter_rows().enumerate() {
-        let out = serving.hierarchical_search(q)?;
+        let out = Engine::for_store(&serving).execute(q)?;
         println!(
             "[online ] query {i}: clusters {:?} -> top doc {}",
             out.searched_clusters, out.hits[0].id
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A fresh document is immediately retrievable.
     let probe = fresh.embeddings().row(0);
-    let out = serving.hierarchical_search(probe)?;
+    let out = Engine::for_store(&serving).execute(probe)?;
     let found = out.hits.iter().any(|n| n.id >= 1_000_000);
     println!(
         "[online ] fresh-document retrieval: {}",

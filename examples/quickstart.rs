@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Issue queries: sample all clusters, deep-search the top 3.
     let queries = QuerySet::generate(&corpus, QuerySpec::new(5).with_seed(3));
     let oracle = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
+    let engine = Engine::for_store(&store);
     for (i, q) in queries.embeddings().iter_rows().enumerate() {
-        let out = store.hierarchical_search(q)?;
+        let out = engine.execute(q)?;
         let truth: Vec<u64> = oracle
             .search(q, config.k, &SearchParams::new())?
             .iter()

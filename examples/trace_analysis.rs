@@ -23,12 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Collect the deep-search access trace (queries fan out on the pool;
     // pass 1 instead of 0 to force a sequential run).
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
-    let accesses = store.access_histogram(&qs, 0)?;
+    let qs: Vec<&[f32]> = queries.embeddings().iter_rows().collect();
+    let accesses = Engine::for_store(&store).access_histogram(&qs, 0)?;
 
     let mut table = Table::new(
         "Cluster size and access frequency (Figure 13 analogue)",

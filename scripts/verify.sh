@@ -150,3 +150,21 @@ grep -q 'phases queue_wait=' "${obs_out}/flight.txt"
 HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes -- \
     stats --slo --docs 4000 --dim 32 --clusters 6 --requests 60 --qps 4000 --slo-us 500
 rm -rf "${obs_out}"
+
+# Benchmark smoke: the repository benchmark (perfbench/, a package of its
+# own built against these crates by path) must keep building, and its
+# correctness gate must hold — every served result bit-identical to
+# standalone execution, no removed document served. Short untraced and
+# traced runs of both benchmark workloads; a non-zero exit or
+# `"correct": false` on the JSON result line fails the step.
+echo "== perfbench smoke (release) =="
+for workload in zipf_churn rag_d768; do
+    for trace in 0 1; do
+        result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "${workload}" --seed 1 --seconds 1 --trace "${trace}" | tail -n 1)"
+        if ! grep -q '"correct": true' <<<"${result}"; then
+            echo "perfbench ${workload} --trace ${trace}: correctness gate failed: ${result}" >&2
+            exit 1
+        fi
+    done
+done

@@ -4,8 +4,8 @@
 //! 1. **Adaptive off ≡ fixed knobs.** A [`QueryPlan`] with `adaptive:
 //!    None` is bit-identical to the pre-adaptive engine, and a *pinned*
 //!    adaptive policy (floor == ceiling == the fixed knobs) is
-//!    bit-identical too — across `execute`, `execute_batch`, and
-//!    `execute_coalesced` at several widths. Turning the feature on
+//!    bit-identical too — across `execute` and the coalesced batch path
+//!    (owned and borrowed rows) at several widths. Turning the feature on
 //!    without giving it headroom must change nothing.
 //! 2. **Exact cache hits ≡ recomputation.** Every exact hit served by
 //!    [`CachedBackend`] equals what the engine would compute for that
@@ -77,16 +77,19 @@ fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
         for (q, want) in queries.iter().zip(&reference) {
             assert_eq!(engine.execute(q).unwrap(), *want, "execute diverged");
         }
+        let rows: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         for threads in [1, 2, 4] {
+            let routes = engine.route_batch(&queries, threads).unwrap();
             assert_eq!(
-                engine.execute_batch(&queries, threads).unwrap(),
+                engine.execute_coalesced_routed(&queries, routes, threads).unwrap(),
                 reference,
-                "execute_batch diverged at {threads} threads"
+                "owned-row batch diverged at {threads} threads"
             );
+            let routes = engine.route_batch(&rows, threads).unwrap();
             assert_eq!(
-                engine.execute_coalesced(&queries, threads).unwrap(),
+                engine.execute_coalesced_routed(&rows, routes, threads).unwrap(),
                 reference,
-                "execute_coalesced diverged at {threads} threads"
+                "borrowed-row batch diverged at {threads} threads"
             );
         }
     }
@@ -197,7 +200,7 @@ fn generation_swap_never_serves_a_pre_swap_entry() {
 
     let current = cell.current();
     let engine = Engine::for_store(&current);
-    let fresh = engine.execute_batch(&queries, 1).unwrap();
+    let fresh: Vec<_> = queries.iter().map(|q| engine.execute(q).unwrap()).collect();
     let post = backend.run(&reqs).unwrap();
     assert_eq!(post.outcomes, fresh, "post-swap answers come from store B");
     assert!(backend.cache_stats().stale > 0, "old entries stale-evicted");
@@ -221,7 +224,7 @@ fn in_place_mutation_never_serves_a_pre_publish_entry() {
 
     let current = cell.current();
     let engine = Engine::for_store(&current);
-    let fresh = engine.execute_batch(&queries, 1).unwrap();
+    let fresh: Vec<_> = queries.iter().map(|q| engine.execute(q).unwrap()).collect();
     let post = backend.run(&reqs).unwrap();
     assert_eq!(post.outcomes, fresh, "post-churn answers are recomputed");
     assert!(backend.cache_stats().stale > 0, "old entries stale-evicted");

@@ -181,7 +181,7 @@ fn interrupted_snapshot_never_clobbers_the_previous_generation() {
     let path = tmp_path("atomic");
     store.save(&path).unwrap();
     let q = corpus.embeddings().row(0);
-    let baseline = store.hierarchical_search(q).unwrap();
+    let baseline = Engine::for_store(&store).execute(q).unwrap();
 
     // Crash model: the next snapshot died mid-write.
     let mut tmp = path.as_os_str().to_os_string();
@@ -190,7 +190,7 @@ fn interrupted_snapshot_never_clobbers_the_previous_generation() {
 
     let survivor = ClusteredStore::load(&path).unwrap();
     assert_eq!(
-        survivor.hierarchical_search(q).unwrap().hits,
+        Engine::for_store(&survivor).execute(q).unwrap().hits,
         baseline.hits,
         "published image must be byte-untouched by the failed snapshot"
     );
@@ -219,8 +219,8 @@ fn legacy_images_load_and_fail_typed_through_the_shim() {
     let loaded = ClusteredStore::load(&path).unwrap();
     let q = corpus.embeddings().row(0);
     assert_eq!(
-        loaded.hierarchical_search(q).unwrap().hits,
-        store.hierarchical_search(q).unwrap().hits
+        Engine::for_store(&loaded).execute(q).unwrap().hits,
+        Engine::for_store(&store).execute(q).unwrap().hits
     );
 
     std::fs::write(&path, &legacy[..legacy.len() / 2]).unwrap();

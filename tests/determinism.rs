@@ -50,8 +50,8 @@ fn search_results_are_deterministic() {
         .with_seed(45);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
     for q in queries.embeddings().iter_rows() {
-        let a = store.hierarchical_search(q).unwrap();
-        let b = store.hierarchical_search(q).unwrap();
+        let a = Engine::for_store(&store).execute(q).unwrap();
+        let b = Engine::for_store(&store).execute(q).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -10,7 +10,7 @@ fn single_document_corpus_is_servable() {
         .with_k(1)
         .with_seed(1);
     let store = ClusteredStore::build(&data, &cfg).unwrap();
-    let out = store.hierarchical_search(&[1.0, 0.0, 0.0, 0.0]).unwrap();
+    let out = Engine::for_store(&store).execute(&[1.0, 0.0, 0.0, 0.0]).unwrap();
     assert_eq!(out.hits.len(), 1);
     assert_eq!(out.hits[0].id, 0);
 }
@@ -26,7 +26,7 @@ fn more_clusters_than_documents_degrades_gracefully() {
     // num_clusters is clamped to the document count inside the build.
     let store = ClusteredStore::build(&data, &cfg).unwrap();
     assert!(store.num_clusters() <= 3);
-    let out = store.hierarchical_search(&[0.1, 0.1]).unwrap();
+    let out = Engine::for_store(&store).execute(&[0.1, 0.1]).unwrap();
     assert_eq!(out.hits[0].id, 0);
 }
 
@@ -38,7 +38,7 @@ fn k_exceeding_cluster_contents_returns_what_exists() {
         .with_k(10)
         .with_seed(3);
     let store = ClusteredStore::build(&data, &cfg).unwrap();
-    let out = store.hierarchical_search(&[0.0, 0.0]).unwrap();
+    let out = Engine::for_store(&store).execute(&[0.0, 0.0]).unwrap();
     assert!(!out.hits.is_empty());
     assert!(out.hits.len() <= 10);
 }
@@ -51,8 +51,8 @@ fn duplicate_documents_yield_deterministic_ordering() {
         .with_k(5)
         .with_seed(4);
     let store = ClusteredStore::build(&data, &cfg).unwrap();
-    let a = store.hierarchical_search(&[1.0, 1.0]).unwrap();
-    let b = store.hierarchical_search(&[1.0, 1.0]).unwrap();
+    let a = Engine::for_store(&store).execute(&[1.0, 1.0]).unwrap();
+    let b = Engine::for_store(&store).execute(&[1.0, 1.0]).unwrap();
     assert_eq!(a.hits, b.hits);
     // Ties broken by id: the lowest ids win.
     let ids: Vec<u64> = a.hits.iter().map(|n| n.id).collect();
@@ -68,7 +68,7 @@ fn zero_vector_query_is_handled() {
         .with_clusters_to_search(2)
         .with_seed(6);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-    let out = store.hierarchical_search(&[0.0; 8]).unwrap();
+    let out = Engine::for_store(&store).execute(&[0.0; 8]).unwrap();
     assert_eq!(out.hits.len(), cfg.k);
 }
 
@@ -79,7 +79,7 @@ fn nan_query_does_not_panic_or_poison_results() {
         .with_clusters_to_search(1)
         .with_seed(8);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-    let out = store.hierarchical_search(&[f32::NAN; 4]).unwrap();
+    let out = Engine::for_store(&store).execute(&[f32::NAN; 4]).unwrap();
     // Results are arbitrary but present and not NaN-scored duplicates.
     assert_eq!(out.hits.len(), cfg.k);
     let mut ids: Vec<u64> = out.hits.iter().map(|n| n.id).collect();
@@ -181,3 +181,25 @@ fn inserting_into_every_cluster_keeps_sizes_consistent() {
     }
     assert_eq!(store.len(), before + store.num_clusters());
 }
+
+#[test]
+fn empty_kmeans_cluster_placeholder_never_surfaces() {
+    // 40 rows equal to (1,0,0,0) within 1e-6: K-means leaves clusters
+    // empty, and each is built around a tombstoned placeholder row.
+    let rows: Vec<Vec<f32>> = (0..40)
+        .map(|i| vec![1.0, if i % 2 == 0 { 1e-6 } else { 0.0 }, 0.0, 0.0])
+        .collect();
+    let cfg = HermesConfig::new(4).with_seed(1).with_k(50);
+    let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
+    assert!(store.cluster_sizes().contains(&0), "input must leave a cluster empty");
+    assert_eq!(store.cluster_sizes().iter().sum::<usize>(), rows.len());
+    assert_eq!(store.len(), rows.len());
+    let q = [1.0, 0.0, 0.0, 0.0];
+    let routed = Engine::for_store(&store).execute(&q).unwrap();
+    let exhaustive = Engine::new(&store, QueryPlan::exhaustive(&cfg)).execute(&q).unwrap();
+    for out in [routed, exhaustive] {
+        assert!(!out.hits.is_empty());
+        assert!(out.hits.iter().all(|h| h.id != u64::MAX), "placeholder row served");
+    }
+}
+

@@ -10,6 +10,7 @@
 //! If the engine ever drifts (a reordered merge, a changed clamp, a racy
 //! accumulation), these properties fail.
 
+use hermes::core::{HermesError, SearchOutcome};
 use hermes::math::topk::merge_topk;
 use hermes::prelude::*;
 use hermes_testkit::prelude::*;
@@ -96,6 +97,17 @@ fn legacy_search(store: &ClusteredStore, query: &[f32]) -> LegacyOutcome {
     }
 }
 
+/// The engine's one batch path: route the batch, then run the coalesced
+/// scatter/gather on those routes.
+fn batch_search(
+    store: &ClusteredStore,
+    queries: &[Vec<f32>],
+    threads: usize,
+) -> Result<Vec<SearchOutcome>, HermesError> {
+    let engine = Engine::for_store(store);
+    engine.execute_coalesced_routed(queries, engine.route_batch(queries, threads)?, threads)
+}
+
 fn routings() -> [Routing; 3] {
     [
         Routing::DocumentSampling,
@@ -138,7 +150,7 @@ fn engine_matches_legacy_for_all_modes_codecs_and_threads() {
                     let legacy: Vec<LegacyOutcome> =
                         qs.iter().map(|q| legacy_search(&store, q)).collect();
                     for &threads in THREADS {
-                        let got = store.batch_hierarchical_search(&qs, threads).unwrap();
+                        let got = batch_search(&store, &qs, threads).unwrap();
                         for (want, out) in legacy.iter().zip(&got) {
                             let ctx = format!("{routing:?}/{codec:?}/threads={threads}");
                             // Hits must match bit for bit, scores included.
@@ -176,7 +188,7 @@ fn engine_matches_legacy_for_all_modes_codecs_and_threads() {
     );
 }
 
-/// `search_all_clusters` is the engine's exhaustive plan and must equal a
+/// The engine's exhaustive plan must equal a
 /// legacy full fan-out (no routing cost, every cluster searched in index
 /// order).
 #[test]
@@ -196,7 +208,9 @@ fn exhaustive_plan_matches_legacy_full_fanout() {
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
             let q = corpus.embeddings().row(1);
             let want = legacy_search(&store, q);
-            let out = store.search_all_clusters(q).unwrap();
+            let out = Engine::new(&store, QueryPlan::exhaustive(store.config()))
+                .execute(q)
+                .unwrap();
             prop_assert_eq!(&want.hits, &out.hits);
             prop_assert_eq!(&want.searched_clusters, &out.searched_clusters);
             prop_assert_eq!(out.sample_cost().scanned_codes, 0);
@@ -219,7 +233,7 @@ fn per_shard_stats_sum_to_stage_totals() {
             let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(seed));
             let cfg = HermesConfig::new(4).with_clusters_to_search(m).with_seed(seed);
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-            let out = store.hierarchical_search(corpus.embeddings().row(2)).unwrap();
+            let out = Engine::for_store(&store).execute(corpus.embeddings().row(2)).unwrap();
             prop_assert_eq!(out.stats.per_shard_scanned.len(), out.searched_clusters.len());
             prop_assert_eq!(
                 out.stats.per_shard_scanned.iter().sum::<usize>(),
@@ -241,10 +255,7 @@ fn per_shard_stats_sum_to_stage_totals() {
 #[test]
 fn first_error_in_input_order_is_preserved() {
     let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(3));
-    // CentroidOnly scores centroids with a panicking distance kernel, so a
-    // malformed query panics identically in legacy and engine code — the
-    // Result-based ordering contract applies to the other two modes.
-    for routing in [Routing::DocumentSampling, Routing::Unranked] {
+    for routing in routings() {
         let cfg = HermesConfig::new(4).with_seed(3).with_routing(routing);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let good = |i: usize| corpus.embeddings().row(i).to_vec();
@@ -252,11 +263,11 @@ fn first_error_in_input_order_is_preserved() {
         let batch = vec![good(0), vec![1.0f32, 2.0, 3.0], good(1), vec![9.0f32]];
         let sequential_err = batch
             .iter()
-            .map(|q| store.hierarchical_search(q))
+            .map(|q| Engine::for_store(&store).execute(q))
             .find_map(Result::err)
             .unwrap();
         for &threads in THREADS {
-            let got = store.batch_hierarchical_search(&batch, threads).unwrap_err();
+            let got = batch_search(&store, &batch, threads).unwrap_err();
             assert_eq!(got, sequential_err, "{routing:?}/threads={threads}");
         }
     }

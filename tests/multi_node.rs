@@ -15,7 +15,7 @@ fn measured_access_freqs() -> (Vec<f64>, usize) {
 
     let mut counts = vec![0usize; store.num_clusters()];
     for q in queries.embeddings().iter_rows() {
-        let out = store.hierarchical_search(q).unwrap();
+        let out = Engine::for_store(&store).execute(q).unwrap();
         for &c in &out.searched_clusters {
             counts[c] += 1;
         }

@@ -331,12 +331,12 @@ fn store_churn_keeps_sizes_shards_and_results_consistent() {
             }
 
             let q = churn.vector();
-            let before = store.hierarchical_search(&q).unwrap();
+            let before = Engine::for_store(&store).execute(&q).unwrap();
             let bytes_before = store.memory_bytes();
             store.compact();
             prop_assert_eq!(store.tombstones(), 0);
             prop_assert!(store.memory_bytes() <= bytes_before);
-            let after = store.hierarchical_search(&q).unwrap();
+            let after = Engine::for_store(&store).execute(&q).unwrap();
             prop_assert_eq!(&before.hits, &after.hits);
             Ok(())
         },
@@ -398,4 +398,36 @@ fn incremental_rebalance_matches_stop_the_world_at_every_boundary() {
             Ok(())
         },
     );
+}
+
+/// Emptying one shard must not fail every query: the empty shard samples
+/// no hit, so it scores −∞ and ranks last, and a deep search of it adds
+/// nothing. Removes ids in order until the first cluster empties.
+#[test]
+fn emptied_shard_ranks_last_and_never_fails_a_query() {
+    let corpus = Corpus::generate(CorpusSpec::new(400, 10, 4).with_seed(71));
+    let cfg = HermesConfig::new(4).with_clusters_to_search(2).with_seed(72);
+    let mut store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+    let mut removed = Vec::new();
+    while !store.cluster_sizes().contains(&0) {
+        let id = removed.len() as u64;
+        store.remove(id).expect("every build id is live until removed");
+        removed.push(id);
+    }
+    let empty = store.cluster_sizes().iter().position(|&n| n == 0).unwrap();
+    let engine = Engine::for_store(&store);
+    let exhaustive = Engine::new(&store, QueryPlan::exhaustive(&cfg));
+    let queries: Vec<&[f32]> = corpus.embeddings().iter_rows().step_by(13).collect();
+    let mut per_query = Vec::new();
+    for q in &queries {
+        let out = engine.execute(q).unwrap();
+        assert_eq!(out.ranked_clusters.last(), Some(&empty), "empty shard ranks last");
+        assert!(out.hits.iter().all(|h| !removed.contains(&h.id)), "removed id served");
+        let all = exhaustive.execute(q).unwrap();
+        assert_eq!(all.stats.per_shard_scanned[empty], 0, "empty shard scans nothing");
+        assert!(all.hits.iter().all(|h| !removed.contains(&h.id)), "removed id served");
+        per_query.push(out);
+    }
+    let routes = engine.route_batch(&queries, 0).unwrap();
+    assert_eq!(engine.execute_coalesced_routed(&queries, routes, 0).unwrap(), per_query);
 }

@@ -28,7 +28,7 @@ fn search_output_is_well_formed() {
                 .with_k(k)
                 .with_seed(seed);
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-            let out = store.hierarchical_search(corpus.embeddings().row(0)).unwrap();
+            let out = Engine::for_store(&store).execute(corpus.embeddings().row(0)).unwrap();
             prop_assert_eq!(out.hits.len(), k);
             for w in out.hits.windows(2) {
                 prop_assert!(w[0].score >= w[1].score);
@@ -59,7 +59,7 @@ fn deep_work_is_monotone_in_clusters_searched() {
                     .with_clusters_to_search(m)
                     .with_seed(seed);
                 let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-                let out = store.hierarchical_search(&q).unwrap();
+                let out = Engine::for_store(&store).execute(&q).unwrap();
                 prop_assert!(out.deep_cost().scanned_codes >= prev || m == 1);
                 prev = out.deep_cost().scanned_codes;
                 let mut ranked = out.ranked_clusters.clone();
@@ -91,7 +91,7 @@ fn full_deep_search_equals_flat_search_of_union() {
             let flat = FlatIndex::new(corpus.embeddings().clone(), cfg.metric);
             for qi in [0usize, 7, 99] {
                 let q = corpus.embeddings().row(qi);
-                let hier = store.hierarchical_search(q).unwrap();
+                let hier = Engine::for_store(&store).execute(q).unwrap();
                 let exact = flat.search(q, 5, &SearchParams::new()).unwrap();
                 let got: Vec<u64> = hier.hits.iter().map(|n| n.id).collect();
                 let want: Vec<u64> = exact.iter().map(|n| n.id).collect();

@@ -1,5 +1,5 @@
 //! End-to-end validation of the runtime telemetry layer: a traced
-//! `hierarchical_search` workload must (a) leave search results
+//! per-query `Engine::execute` workload must (a) leave search results
 //! bit-identical, (b) produce a well-formed event stream — every begin
 //! matched by an end on its thread, tids resolving to known threads,
 //! span args carrying the engine's scanned-code accounting — and (c)
@@ -12,6 +12,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use hermes::core::{HermesError, SearchOutcome};
 use hermes::prelude::*;
 use hermes::trace::{self, json::Json};
 
@@ -33,13 +34,23 @@ fn build_store() -> (ClusteredStore, Vec<Vec<f32>>) {
     (store, qs)
 }
 
+/// The traced workload: one `Engine::execute` per query, each fanning
+/// its shard searches out on the pool.
+fn search_each(
+    store: &ClusteredStore,
+    queries: &[Vec<f32>],
+) -> Result<Vec<SearchOutcome>, HermesError> {
+    let engine = Engine::for_store(store);
+    queries.iter().map(|q| engine.execute(q)).collect()
+}
+
 /// Runs the workload with telemetry off then on, asserts bit-identity,
 /// and returns the traced snapshot.
 fn traced_run(store: &ClusteredStore, queries: &[Vec<f32>]) -> trace::TraceSnapshot {
     trace::clear();
-    let baseline = store.batch_hierarchical_search(queries, 0).unwrap();
+    let baseline = search_each(store, queries).unwrap();
     trace::enable();
-    let traced = store.batch_hierarchical_search(queries, 0);
+    let traced = search_each(store, queries);
     trace::disable();
     let snap = trace::snapshot();
     assert_eq!(
@@ -54,7 +65,7 @@ fn traced_run(store: &ClusteredStore, queries: &[Vec<f32>]) -> trace::TraceSnaps
 fn traced_search_produces_balanced_spans_with_work_args() {
     let _g = guard();
     let (store, queries) = build_store();
-    let outcomes = store.batch_hierarchical_search(&queries, 0).unwrap();
+    let outcomes = search_each(&store, &queries).unwrap();
     let snap = traced_run(&store, &queries);
     assert_eq!(snap.dropped, 0, "workload must fit the rings");
 
@@ -90,8 +101,8 @@ fn traced_search_produces_balanced_spans_with_work_args() {
     assert_eq!(route_args, route_stats, "route_scanned args match stats");
     assert_eq!(deep_args, deep_stats, "deep_scanned args match stats");
 
-    // Per-query stage spans nest under execute: route, scatter, gather.
-    for stage in ["engine.route", "engine.scatter", "engine.gather"] {
+    // Per-query stage spans nest under execute: route, coalesced, gather.
+    for stage in ["engine.route", "engine.coalesced", "engine.gather"] {
         assert_eq!(
             spans.iter().filter(|s| s.name == stage).count(),
             queries.len(),
@@ -275,6 +286,6 @@ fn disabled_workload_records_nothing() {
     let (store, queries) = build_store();
     trace::clear();
     trace::disable();
-    store.batch_hierarchical_search(&queries, 0).unwrap();
+    search_each(&store, &queries).unwrap();
     assert!(trace::snapshot().is_empty());
 }
